@@ -2,19 +2,27 @@ GO ?= go
 
 ANALYZERS := bin/analyzers
 
-.PHONY: check build vet test race race-core determinism fmt bench lint bench-journal bench-watch serve-smoke prove-smoke
+.PHONY: check build vet test race race-core determinism fmt bench lint bench-journal bench-watch serve-smoke prove-smoke perfbench
 
 # The full pre-commit gate: formatting, vet (including the custom
 # analyzers and the spec linter), build, the race-enabled test suite,
 # the unabridged race pass over the solver core, the parallel
 # determinism check, the end-to-end daemon and prover smoke tests, and
-# the bench-regression sentinel over the committed journals. -short
-# keeps the long soak tests out; run `make test` for the unabridged
-# suite.
-check: fmt vet lint build race race-core determinism serve-smoke prove-smoke bench-watch
+# the bench-regression sentinel over the committed journals, and a
+# build of the benchmark module. -short keeps the long soak tests out;
+# run `make test` for the unabridged suite.
+check: fmt vet lint build perfbench race race-core determinism serve-smoke prove-smoke bench-watch
 
 build:
 	$(GO) build ./...
+
+# perfbench vets and tests the benchmark module. perfbench/ is its own
+# Go module (replace repro => ../) that compiles against the server's
+# request/response types and the checker's options, and the root
+# `go build ./...` never reaches it, so an API change that breaks the
+# benchmark has to fail here rather than at benchmark time.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

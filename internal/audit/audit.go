@@ -51,7 +51,9 @@ type Event struct {
 	// Status is the HTTP status the request was answered with.
 	Status int `json:"status,omitempty"`
 	// Abort is the machine-readable abort cause ("deadline",
-	// "canceled", "error"; empty for completed checks).
+	// "canceled", "internal"; empty for completed checks). Flight
+	// recorder entries use the same vocabulary plus "panic" for a
+	// recovered handler panic, which never reaches the audit log.
 	Abort string `json:"abort,omitempty"`
 	// ElapsedUS is the end-to-end check latency in microseconds.
 	ElapsedUS int64 `json:"elapsed_us"`

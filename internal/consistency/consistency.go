@@ -135,11 +135,10 @@ type Options struct {
 	// scope subproblem — so CPU profiles collected while checks run
 	// (-cpuprofile, /debug/pprof) attribute their samples to specs and
 	// pipeline phases. Callers set it to the spec digest. Empty costs
-	// nothing: label sets and the closures pprof.Do needs are built
-	// only on the labeled branches, which is why every wrap site
-	// duplicates the call instead of abstracting it behind a func
-	// parameter (an unconditionally created closure would heap-allocate
-	// its captures on the hot path too).
+	// nothing: every wrap site goes through one helper whose func
+	// argument does not escape, so the unlabeled path calls it directly
+	// with its closure on the stack, and label sets are built only when
+	// labeled.
 	ProfileLabel string
 }
 
@@ -345,20 +344,8 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
 
 	if !opts.SkipLint {
 		opts.Progress.SetPhase("lint")
-		// Labeled-phase discipline (here and at every pprof.Do site in
-		// this package): the closure and every variable it captures are
-		// created inside the ProfileLabel branch, so the unlabeled hot
-		// path allocates nothing for profiling support.
 		var rep *speclint.Report
-		if opts.ProfileLabel != "" {
-			var lrep *speclint.Report
-			rec := opts.Obs
-			pprof.Do(labelCtx(opts), pprof.Labels("digest", opts.ProfileLabel, "phase", "lint"),
-				func(context.Context) { lrep = speclint.PrepassValidated(d, set, rec) })
-			rep = lrep
-		} else {
-			rep = speclint.PrepassValidated(d, set, opts.Obs)
-		}
+		labeled(opts, func() { rep = speclint.PrepassValidated(d, set, opts.Obs) }, "phase", "lint")
 		res.Stats.LintFindings = len(rep.Diags)
 		if diag := rep.SoundError(); diag != nil {
 			route(opts.Obs, "lint_short_circuit")
@@ -379,14 +366,7 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
 		opts.Progress.SetPhase("prover")
 		psp := opts.Obs.Start("prover")
 		var out prover.Outcome
-		if opts.ProfileLabel != "" {
-			var lout prover.Outcome
-			pprof.Do(labelCtx(opts), pprof.Labels("digest", opts.ProfileLabel, "phase", "prover"),
-				func(context.Context) { lout = prover.Saturate(d, set) })
-			out = lout
-		} else {
-			out = prover.Saturate(d, set)
-		}
+		labeled(opts, func() { out = prover.Saturate(d, set) }, "phase", "prover")
 		res.Stats.ProverFacts = out.Facts
 		if psp != nil {
 			psp.SetInt("facts", int64(out.Facts))
@@ -409,18 +389,9 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
 		}
 	}
 
-	if opts.ProfileLabel != "" {
-		// Everything past the prepasses is solver work, labeled as one
-		// "ilp" phase; the relative route refines it with a per-scope
-		// label from inside hierChecker.scope.
-		lres := res
-		lopts := opts
-		pprof.Do(labelCtx(opts), pprof.Labels("digest", opts.ProfileLabel, "phase", "ilp"),
-			func(context.Context) { decideRoute(d, set, prof, lopts, &lres) })
-		res = lres
-	} else {
-		decideRoute(d, set, prof, opts, &res)
-	}
+	// Everything past the prepasses is solver work, labeled as one "ilp"
+	// phase; the relative route refines it with a per-scope label.
+	labeled(opts, func() { decideRoute(d, set, prof, opts, &res) }, "phase", "ilp")
 	if sp != nil {
 		sp.SetString("class", res.Class)
 		sp.SetString("method", res.Method)
@@ -474,14 +445,23 @@ func decideRoute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opts 
 	}
 }
 
-// labelCtx is the parent context pprof.Do stacks its labels onto: the
-// check's own context when one is attached, the background context
-// otherwise.
-func labelCtx(opts Options) context.Context {
-	if opts.Ctx != nil {
-		return opts.Ctx
+// labeled runs f under the runtime/pprof labels ("digest",
+// opts.ProfileLabel, kv...) when the check is labeled, and calls it
+// directly otherwise. f does not escape, so neither the caller's
+// closure nor its captures reach the heap: the unlabeled path
+// allocates nothing for profiling support. The labels stack onto the
+// check's own context when one is attached.
+func labeled(opts Options, f func(), kv ...string) {
+	if opts.ProfileLabel == "" {
+		f()
+		return
 	}
-	return context.Background()
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	pprof.Do(ctx, pprof.Labels(append([]string{"digest", opts.ProfileLabel}, kv...)...),
+		func(context.Context) { f() })
 }
 
 // route marks which decision procedure fired, both as a counter (for
@@ -539,7 +519,8 @@ func checkAbsolute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opt
 			res.conclude(Consistent, vectorCert(certificate.EncodingAbsolute, enc.Flow.Sys, ilpRes.Values, opts))
 			if !opts.SkipWitness {
 				wsp := opts.Obs.Start("witness")
-				attachAbsoluteWitness(enc, ilpRes.Values, set, opts, res)
+				w, err := enc.Witness(ilpRes.Values, opts.WitnessMaxNodes)
+				res.attachConstructed(w, err, "witness construction skipped: ", enc.D, set)
 				wsp.End()
 			}
 			return
@@ -549,14 +530,10 @@ func checkAbsolute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opt
 		// witness; then bounded search; else Unknown.
 		if !opts.SkipWitness {
 			wsp := opts.Obs.Start("witness")
-			if w, err := enc.Witness(ilpRes.Values, opts.WitnessMaxNodes); err == nil {
-				if w.Conforms(d) == nil && constraint.Satisfies(w, set) {
-					res.Witness = w
-					res.WitnessVerified = true
-					res.conclude(Consistent, documentCert(w, opts))
-					wsp.End()
-					return
-				}
+			if w, err := enc.Witness(ilpRes.Values, opts.WitnessMaxNodes); err == nil && res.adoptWitness(w, d, set) {
+				res.conclude(Consistent, documentCert(w, opts))
+				wsp.End()
+				return
 			}
 			wsp.End()
 		}
@@ -611,16 +588,7 @@ func checkRegular(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 		wsp := opts.Obs.Start("witness")
 		defer wsp.End()
 		w, err := enc.Witness(ilpRes.Values, opts.WitnessMaxNodes)
-		if err != nil {
-			res.Diagnosis = "witness construction failed: " + err.Error()
-			return
-		}
-		if w.Conforms(d) == nil && constraint.Satisfies(w, set) {
-			res.Witness = w
-			res.WitnessVerified = true
-		} else {
-			res.Diagnosis = "constructed witness failed dynamic verification"
-		}
+		res.attachConstructed(w, err, "witness construction failed: ", d, set)
 	}
 }
 
@@ -705,18 +673,26 @@ func infeasibleCert(d *dtd.DTD, set *constraint.Set, encName certificate.Encodin
 	return certificate.FromInfeasible(encName, digest, "the "+string(encName)+" encoding admits no solution")
 }
 
-// attachAbsoluteWitness builds and verifies the Lemma 1 witness.
-func attachAbsoluteWitness(enc *cardinality.AbsoluteEncoding, vals []int64, set *constraint.Set, opts Options, res *Result) {
-	w, err := enc.Witness(vals, opts.WitnessMaxNodes)
-	if err != nil {
-		res.Diagnosis = "witness construction skipped: " + err.Error()
-		return
+// adoptWitness attaches w when it passes the dynamic checker — it
+// conforms to d and satisfies set — and reports whether it did.
+func (r *Result) adoptWitness(w *xmltree.Tree, d *dtd.DTD, set *constraint.Set) bool {
+	if w.Conforms(d) != nil || !constraint.Satisfies(w, set) {
+		return false
 	}
-	if w.Conforms(enc.D) == nil && constraint.Satisfies(w, set) {
-		res.Witness = w
-		res.WitnessVerified = true
-	} else {
-		res.Diagnosis = "constructed witness failed dynamic verification"
+	r.Witness = w
+	r.WitnessVerified = true
+	return true
+}
+
+// attachConstructed attaches a witness built from a solver solution,
+// or records in the diagnosis why none was: its construction failed
+// (errPrefix says how that is reported) or it failed dynamic
+// verification.
+func (r *Result) attachConstructed(w *xmltree.Tree, err error, errPrefix string, d *dtd.DTD, set *constraint.Set) {
+	if err != nil {
+		r.Diagnosis = errPrefix + err.Error()
+	} else if !r.adoptWitness(w, d, set) {
+		r.Diagnosis = "constructed witness failed dynamic verification"
 	}
 }
 
@@ -734,8 +710,5 @@ func attachKeysOnlyWitness(d *dtd.DTD, set *constraint.Set, opts Options, res *R
 			serial++
 		}
 	})
-	if tree.Conforms(d) == nil && constraint.Satisfies(tree, set) {
-		res.Witness = tree
-		res.WitnessVerified = true
-	}
+	res.adoptWitness(tree, d, set)
 }

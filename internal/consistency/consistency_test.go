@@ -650,3 +650,20 @@ func TestTractableExactKnownInstances(t *testing.T) {
 		t.Fatal("mutual inclusion with unequal counts must be unsat")
 	}
 }
+
+// TestLabeledAllocations pins the helper's cost model: unlabeled, it
+// calls f directly and allocates nothing; labeled, it still calls f
+// exactly once.
+func TestLabeledAllocations(t *testing.T) {
+	calls := 0
+	f := func() { calls++ }
+	if n := testing.AllocsPerRun(100, func() { labeled(Options{}, f, "phase", "lint") }); n != 0 {
+		t.Errorf("unlabeled labeled() allocates %v times per call, want 0", n)
+	}
+	calls = 0
+	labeled(Options{ProfileLabel: "spec-test"}, f, "phase", "lint")
+	labeled(Options{}, f, "phase", "lint")
+	if calls != 2 {
+		t.Errorf("f ran %d times over two calls, want 2", calls)
+	}
+}

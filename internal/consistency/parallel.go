@@ -3,7 +3,6 @@ package consistency
 import (
 	"context"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -216,15 +215,9 @@ func (p *parScopes) run(t *scopeTask, chain map[string]bool, tau, key string) {
 		}
 		p.mu.Unlock()
 	}
-	if opts.ProfileLabel != "" {
-		// The full label set is applied explicitly: worker goroutines
-		// inherit the check-wide ("digest", "phase") labels from their
-		// spawning goroutine, but restating them keeps per-scope
-		// attribution correct regardless of who claimed the task.
-		pprof.Do(context.Background(),
-			pprof.Labels("digest", opts.ProfileLabel, "phase", "ilp", "scope", key),
-			func(context.Context) { solve() })
-	} else {
-		solve()
-	}
+	// The full label set is restated: worker goroutines inherit the
+	// check-wide ("digest", "phase") labels from their spawning
+	// goroutine, but restating them keeps per-scope attribution correct
+	// regardless of who claimed the task.
+	labeled(opts, solve, "phase", "ilp", "scope", key)
 }

@@ -1,10 +1,8 @@
 package consistency
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"runtime/pprof"
 	"sort"
 
 	"repro/internal/bruteforce"
@@ -179,17 +177,13 @@ func (h *hierChecker) scope(chain map[string]bool, tau string) hierScope {
 
 	// The solve runs under a per-scope pprof label when the check is
 	// labeled, so a CPU profile of a hierarchical check attributes
-	// samples to individual scope subproblems. Nested pprof.Do calls
-	// from the exit recursion above have already restored this
-	// goroutine's labels, so the scope label stacks on the check-wide
-	// ("digest", "phase") set. The closure is created only on the
-	// labeled branch — the unlabeled path must not allocate for it.
-	if h.opts.ProfileLabel != "" {
-		pprof.Do(context.Background(), pprof.Labels("scope", key),
-			func(context.Context) { h.solveScope(chain, tau, key, sd, exits, banned, undecided) })
-		return h.memo[key]
-	}
-	return h.solveScope(chain, tau, key, sd, exits, banned, undecided)
+	// samples to individual scope subproblems. The full label set is
+	// restated because the exit recursion above has already reset this
+	// goroutine's labels on its way out.
+	var out hierScope
+	labeled(h.opts, func() { out = h.solveScope(chain, tau, key, sd, exits, banned, undecided) },
+		"phase", "ilp", "scope", key)
+	return out
 }
 
 // solveScope decides one (chain, τ) scope problem on the sequential
@@ -412,10 +406,7 @@ func (h *hierChecker) attachWitness(res *Result) {
 		return
 	}
 	w := &xmltree.Tree{Root: rootNode}
-	if w.Conforms(h.d) == nil && constraint.Satisfies(w, h.set) {
-		res.Witness = w
-		res.WitnessVerified = true
-	} else {
+	if !res.adoptWitness(w, h.d, h.set) {
 		res.Diagnosis = "composed hierarchical witness failed dynamic verification"
 	}
 }

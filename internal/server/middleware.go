@@ -7,7 +7,7 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/flight"
+	"repro/internal/audit"
 	"repro/internal/obs"
 )
 
@@ -87,14 +87,9 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				fmt.Fprintf(sr, `{"request_id":%q,"trace_id":%q,"error":"internal server error","kind":"internal"}`+"\n", id, tid)
 				// The handler never reached its own flight observation;
 				// capture the panic with at least a goroutine profile.
-				s.flight.Observe(flight.Request{
-					TraceID:   tid,
-					RequestID: id,
-					Op:        r.URL.Path,
-					Status:    http.StatusInternalServerError,
-					Abort:     "panic",
-					Elapsed:   time.Since(start),
-				})
+				rq := request{op: op{name: r.URL.Path}, elapsed: time.Since(start), Event: audit.Event{
+					RequestID: id, TraceID: tid, Status: http.StatusInternalServerError, Abort: "panic"}}
+				s.flight.Observe(rq.flightRequest())
 			}
 			elapsed := time.Since(start)
 			s.reg.Add("server.requests", 1)

@@ -13,10 +13,14 @@
 //
 // Every request runs under middleware that assigns a request ID,
 // writes a structured log line, recovers panics into 500s, and feeds
-// the latency histograms. Checks execute synchronously on the request
-// goroutine with a deadline-bounded context threaded into the decision
-// procedures, so a client disconnect or timeout aborts the worst-case
-// exponential search promptly and leaks no goroutines.
+// the latency histograms. /check and /explain are one pipeline (serve),
+// parameterized by a small op value holding only what differs between
+// them: the root span, the latency histogram and counter, the audit op,
+// whether the attribution ledger is forced on, and the decision run.
+// Checks execute synchronously on the request goroutine with a
+// deadline-bounded context threaded into the decision procedures, so a
+// client disconnect or timeout aborts the worst-case exponential
+// search promptly and leaks no goroutines.
 //
 // Every request also runs under W3C trace context: the middleware
 // parses an inbound traceparent header (or starts a fresh trace),
@@ -25,11 +29,13 @@
 // response bodies, so one identifier joins every artifact a request
 // leaves behind.
 //
-// Beyond counters, every completed check leaves three observability
-// trails: an audit event (request ID, trace ID, spec digest, verdict,
-// phases) in the configured audit log, an observation in the rolling
-// 1m/5m/1h windows that drive the rate/latency/burn-rate gauges, and
-// an entry in the flight recorder's bounded ring — which, on a
+// The pipeline builds one record per request (IDs, digest, raw spec,
+// recorder, publisher, elapsed time, status, abort, verdict), and a
+// single finish step feeds it to every sink: the registry and its
+// latency exemplars, the Chrome trace file in Config.TraceDir, the
+// rolling 1m/5m/1h windows that drive the rate/latency/burn-rate
+// gauges, the audit log (request ID, trace ID, spec digest, verdict,
+// phases), and the flight recorder's bounded ring — which, on a
 // trigger (slow threshold, 5xx/panic, abort, sampled inconsistent
 // verdict), dumps a rate-limited correlated bundle into
 // Config.QuarantineDir so anomalous checks can be replayed offline.
@@ -73,15 +79,17 @@ type Config struct {
 	// MaxInflight caps concurrently running checks; excess requests
 	// are rejected with 429 (zero: unlimited).
 	MaxInflight int
-	// TraceDir, when set, stores a Chrome trace-event file per check
-	// request (check-<request-id>.json), loadable in Perfetto.
+	// TraceDir, when set, stores a Chrome trace-event file per /check
+	// or /explain request (check-<request-id>.json for both), loadable
+	// in Perfetto.
 	TraceDir string
 	// Logger receives one structured line per request (nil: slog
 	// text handler on stderr).
 	Logger *slog.Logger
 	// Pprof mounts net/http/pprof under /debug/pprof.
 	Pprof bool
-	// MaxRequestBytes bounds the /check request body (zero: 8 MiB).
+	// MaxRequestBytes bounds the /check and /explain request bodies
+	// (zero: 8 MiB).
 	MaxRequestBytes int64
 	// Parallelism is the default scope worker pool size for
 	// hierarchical checks (0/1: sequential; negative: one worker per
@@ -131,26 +139,14 @@ type Server struct {
 	inflight atomic.Int64
 	reqSeq   atomic.Uint64
 
-	// running tracks the checks currently executing, for the status
-	// page's in-flight table.
+	// running holds the records of the requests currently executing,
+	// for the status pages' in-flight tables.
 	runningMu sync.Mutex
-	running   map[string]*runningCheck
+	running   map[string]*request
 
 	// flight is the anomaly flight recorder: ring of recent requests
 	// plus the trigger-driven quarantine dumper.
 	flight *flight.Recorder
-}
-
-// runningCheck is one in-flight check as the status page shows it.
-// Its publisher receives the solver's sampled progress snapshots, so
-// the /debug/inflight handler can show where a long check is without
-// ever blocking the search.
-type runningCheck struct {
-	ID         string `json:"request_id"`
-	TraceID    string `json:"trace_id,omitempty"`
-	SpecDigest string `json:"spec_digest,omitempty"`
-	StartedAt  time.Time
-	pub        *introspect.Publisher
 }
 
 // NewServer validates the config and builds a server.
@@ -181,7 +177,7 @@ func NewServer(cfg Config) *Server {
 		audit:   cfg.Audit,
 		rolling: telemetry.NewRolling(cfg.SLOTarget.Microseconds()),
 		start:   time.Now(),
-		running: map[string]*runningCheck{},
+		running: map[string]*request{},
 		flight: flight.New(flight.Options{
 			Dir:                cfg.QuarantineDir,
 			SlowThreshold:      cfg.SlowThreshold,
@@ -205,12 +201,12 @@ func NewServer(cfg Config) *Server {
 		telemetry.RegisterSLO(s.reg, s.rolling, cfg.SLOTarget, cfg.SLOObjective)
 	}
 	s.reg.Help("server.requests", "HTTP requests served, any endpoint.")
-	s.reg.Help("server.checks", "Consistency checks completed with a verdict.")
-	s.reg.Help("server.explains", "Explanations (/explain) completed with a verdict.")
-	s.reg.Help("server.explain_us", "Explanation latency in microseconds (check + core minimization).")
+	s.reg.Help(checkCount, "Consistency checks completed with a verdict.")
+	s.reg.Help(explainCount, "Explanations (/explain) completed with a verdict.")
+	s.reg.Help(explainLatency, "Explanation latency in microseconds (check + core minimization).")
 	s.reg.Help("server.panics", "Handler panics recovered into 500 responses.")
 	s.reg.Help("server.request_us", "End-to-end HTTP request latency in microseconds.")
-	s.reg.Help("server.check_us", "Consistency-check latency in microseconds (verdict-bearing requests).")
+	s.reg.Help(checkLatency, "Consistency-check latency in microseconds (verdict-bearing requests).")
 	s.reg.Help("server.slow_captures", "Flight bundles dumped to the quarantine directory (trace+spec pairs, any trigger).")
 	s.reg.Help("server.slow_checks", "Checks that exceeded the slow threshold (captured or not).")
 	s.reg.RegisterGauge("server_flight_triggered",
@@ -226,8 +222,8 @@ func NewServer(cfg Config) *Server {
 // middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /check", s.handleCheck)
-	mux.HandleFunc("POST /explain", s.handleExplain)
+	mux.HandleFunc("POST /check", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, checkOp) })
+	mux.HandleFunc("POST /explain", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, explainOp) })
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/status", s.handleStatus)
@@ -360,291 +356,306 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit applies the in-flight cap, answering 429 itself when the server
-// is at capacity. The caller must pair a successful admit with the
-// deferred decrement.
+// is at capacity. The slot is claimed before the cap is compared, so
+// concurrent requests can never jointly overshoot it; a rejected
+// request gives its slot straight back. The caller must pair a
+// successful admit with the deferred decrement.
 func (s *Server) admit(w http.ResponseWriter, id, tid string) bool {
-	if max := s.cfg.MaxInflight; max > 0 && s.inflight.Load() >= int64(max) {
+	n := s.inflight.Add(1)
+	if max := s.cfg.MaxInflight; max > 0 && n > int64(max) {
+		s.inflight.Add(-1)
 		s.reg.Add("server.rejects.overload", 1)
 		s.writeError(w, id, tid, http.StatusTooManyRequests, "overload",
 			fmt.Sprintf("at capacity (%d checks in flight)", max))
 		return false
 	}
-	s.inflight.Add(1)
 	return true
 }
 
-// readSpecRequest reads and decodes the request shape /check and
-// /explain share, and parses the specification. On failure it answers
-// the request itself and reports ok=false.
-func (s *Server) readSpecRequest(w http.ResponseWriter, r *http.Request, id string) (CheckRequest, *xmlspec.Spec, bool) {
-	var req CheckRequest
-	tid := traceID(r.Context())
+// readSpecRequest reads and decodes the request body both spec routes
+// share, and parses the specification. On failure it answers the
+// request itself and reports ok=false.
+func (s *Server) readSpecRequest(w http.ResponseWriter, r *http.Request, rq *request) (*xmlspec.Spec, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1))
 	if err != nil {
-		s.writeError(w, id, tid, http.StatusBadRequest, "parse", "reading body: "+err.Error())
-		return req, nil, false
+		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusBadRequest, "parse", "reading body: "+err.Error())
+		return nil, false
 	}
 	if int64(len(body)) > s.cfg.MaxRequestBytes {
-		s.writeError(w, id, tid, http.StatusRequestEntityTooLarge, "parse",
+		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusRequestEntityTooLarge, "parse",
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
-		return req, nil, false
+		return nil, false
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body, &rq.req); err != nil {
 		s.reg.Add("server.errors.parse", 1)
-		s.writeError(w, id, tid, http.StatusBadRequest, "parse", "decoding request: "+err.Error())
-		return req, nil, false
+		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusBadRequest, "parse", "decoding request: "+err.Error())
+		return nil, false
 	}
-	spec, err := xmlspec.Parse(req.DTD, req.Constraints)
+	spec, err := xmlspec.Parse(rq.req.DTD, rq.req.Constraints)
 	if err != nil {
 		s.reg.Add("server.errors.parse", 1)
-		s.writeError(w, id, tid, http.StatusBadRequest, "parse", err.Error())
-		return req, nil, false
+		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusBadRequest, "parse", err.Error())
+		return nil, false
 	}
-	return req, spec, true
+	return spec, true
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r.Context())
-	tid := traceID(r.Context())
+// Latency histogram and completion counter of each spec route.
+const (
+	checkLatency   = "server.check_us"
+	checkCount     = "server.checks"
+	explainLatency = "server.explain_us"
+	explainCount   = "server.explains"
+)
 
-	if !s.admit(w, id, tid) {
+// op is what differs between the two spec routes; everything else in a
+// request's life is the one pipeline in serve.
+type op struct {
+	// name is the route ("check", "explain"): the flight-recorder op and
+	// the prefix of abort messages.
+	name           string
+	span           string
+	latency, count string
+	// auditOp is empty for checks, keeping existing logs stable.
+	auditOp string
+	// attribution forces the time-only scope ledger on, so its rows
+	// feed the audit trail even when the client did not ask for them in
+	// the response. Allocation tracking stays off: ReadMemStats is too
+	// heavy for a serving hot path.
+	attribution bool
+	// run decides the spec, stamps the verdict, certificate kind, and
+	// scope costs into the record, and returns the func that renders
+	// the response body once the record is complete.
+	run func(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (respond func() any, err error)
+}
+
+var (
+	checkOp = op{
+		name: "check", span: "server.check", latency: checkLatency, count: checkCount,
+		attribution: true,
+		run: func(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (func() any, error) {
+			res, err := spec.CheckContext(ctx, opts)
+			if err != nil {
+				return nil, err
+			}
+			rq.Verdict, rq.CertificateKind = res.Verdict.String(), res.Certificate.Kind()
+			rq.ScopeCosts = auditScopeCosts(res.Attribution)
+			return func() any {
+				resp := CheckResponse{
+					RequestID:   rq.RequestID,
+					TraceID:     rq.TraceID,
+					SpecDigest:  rq.SpecDigest,
+					Verdict:     rq.Verdict,
+					Class:       res.Class,
+					Method:      res.Method,
+					Witness:     res.Witness,
+					Diagnosis:   res.Diagnosis,
+					Certificate: res.Certificate,
+					Stats:       res.Stats,
+					ElapsedUS:   rq.ElapsedUS,
+				}
+				if rq.req.Options.Attribution {
+					resp.Attribution = res.Attribution
+				}
+				return resp
+			}, nil
+		},
+	}
+	// explainOp runs the full explanation pipeline — check, then
+	// deletion-based core minimization with derivation extraction and
+	// repair-hint ranking. Explanation re-decides many constraint
+	// subsets, so it keeps its own latency histogram, counter, and
+	// audit op.
+	explainOp = op{
+		name: "explain", span: "server.explain", latency: explainLatency, count: explainCount,
+		auditOp: "explain",
+		run: func(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (func() any, error) {
+			ex, err := spec.ExplainContext(ctx, opts)
+			if err != nil {
+				return nil, err
+			}
+			rq.Verdict, rq.CertificateKind = ex.Verdict.String(), ex.Certificate.Kind()
+			return func() any {
+				return ExplainResponse{
+					RequestID:       rq.RequestID,
+					TraceID:         rq.TraceID,
+					SpecDigest:      rq.SpecDigest,
+					Verdict:         rq.Verdict,
+					Method:          ex.Method,
+					Core:            ex.Core,
+					CoreConstraints: ex.CoreConstraints,
+					Derivation:      ex.Derivation,
+					Hints:           ex.Hints,
+					Cores:           ex.Cores,
+					Checks:          ex.Checks,
+					Certificate:     ex.Certificate,
+					ElapsedUS:       rq.ElapsedUS,
+				}
+			}, nil
+		},
+	}
+)
+
+// request is the one record of a spec-route request. Its core is the
+// audit event the request becomes (IDs, spec digest, verdict,
+// certificate kind, status, abort, elapsed time, phases, scope costs);
+// serve fills it in as the request progresses, the in-flight table
+// holds it while the run executes, and finish hands it to every sink.
+type request struct {
+	audit.Event
+	op op
+	// req is the decoded body; its DTD and constraints are the raw
+	// spec text of the flight recorder's .spec dump.
+	req     CheckRequest
+	start   time.Time
+	elapsed time.Duration
+	rec     *obs.Recorder
+	// pub receives the solver's sampled progress snapshots, so
+	// /debug/inflight can show where a long check is without ever
+	// blocking the search.
+	pub *introspect.Publisher
+}
+
+// serve is the pipeline behind both spec routes: admit, parse, register
+// in flight, run the decision under the deadline with a per-request
+// recorder, feed every sink, and answer.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, o op) {
+	rq := &request{op: o, Event: audit.Event{
+		RequestID: requestID(r.Context()), TraceID: traceID(r.Context()), Op: o.auditOp}}
+	if !s.admit(w, rq.RequestID, rq.TraceID) {
 		return
 	}
 	defer s.inflight.Add(-1)
-
-	req, spec, ok := s.readSpecRequest(w, r, id)
+	spec, ok := s.readSpecRequest(w, r, rq)
 	if !ok {
 		return
 	}
-	dig := spec.Digest()
+	rq.SpecDigest = spec.Digest()
+	rq.pub = introspect.NewPublisher()
 
-	// Per-request progress publisher: the solver samples live search
-	// snapshots into it, /debug/inflight reads them lock-free.
-	pub := introspect.NewPublisher()
-	s.runningMu.Lock()
-	s.running[id] = &runningCheck{ID: id, TraceID: tid, SpecDigest: dig, StartedAt: time.Now(), pub: pub}
-	s.runningMu.Unlock()
-	defer func() {
-		s.runningMu.Lock()
-		delete(s.running, id)
-		s.runningMu.Unlock()
-	}()
-
-	ctx, cancel := s.checkContext(r.Context(), req.DeadlineMS)
+	ctx, cancel := s.checkContext(r.Context(), rq.req.DeadlineMS)
 	defer cancel()
 
-	// Per-request recorder: the span tree becomes this request's trace
-	// file, the counters and histograms aggregate into the registry.
-	rec := obs.New()
-	rec.SetTraceID(tid)
-	root := rec.Start("server.check")
-	root.SetString("request_id", id)
-	root.SetString("trace_id", tid)
-	root.SetString("spec_digest", dig)
-	spec.SetObserver(rec)
+	// The span tree becomes this request's trace file; the counters and
+	// histograms aggregate into the registry.
+	rq.rec = obs.New()
+	rq.rec.SetTraceID(rq.TraceID)
+	root := rq.rec.Start(o.span)
+	root.SetString("request_id", rq.RequestID)
+	root.SetString("trace_id", rq.TraceID)
+	root.SetString("spec_digest", rq.SpecDigest)
+	spec.SetObserver(rq.rec)
 
-	opts := req.Options.internal()
+	opts := rq.req.Options.internal()
 	if opts.Parallelism == 0 {
 		opts.Parallelism = s.cfg.Parallelism
 	}
-	opts.Progress = pub
-	opts.ProfileLabel = dig
-	// The time-only ledger always runs: its rows feed the audit trail
-	// even when the client did not ask for them in the response.
-	// Allocation tracking stays off — ReadMemStats is too heavy for a
-	// serving hot path.
-	opts.Attribution = true
+	opts.Progress = rq.pub
+	opts.ProfileLabel = rq.SpecDigest
+	opts.Attribution = opts.Attribution || o.attribution
 
-	start := time.Now()
-	res, err := spec.CheckContext(ctx, opts)
-	elapsed := time.Since(start)
-	root.SetInt("elapsed_us", elapsed.Microseconds())
-
-	rec.Observe("server.check_us", elapsed.Microseconds())
-	rec.Add("server.checks", 1)
+	rq.start = time.Now()
+	defer s.track(rq)()
+	respond, err := o.run(ctx, spec, opts, rq)
+	rq.elapsed = time.Since(rq.start)
+	rq.ElapsedUS = rq.elapsed.Microseconds()
+	root.SetInt("elapsed_us", rq.ElapsedUS)
+	rq.rec.Observe(o.latency, rq.ElapsedUS)
+	rq.rec.Add(o.count, 1)
 	if err == nil {
-		rec.Add("server.verdict."+res.Verdict.String(), 1)
+		rq.rec.Add("server.verdict."+rq.Verdict, 1)
 	}
 	root.End()
-	s.reg.Absorb(rec)
-	s.reg.Exemplar("server.check_us", elapsed.Microseconds(), tid)
-	s.writeTraceFile(id, rec)
-	s.rolling.Observe(elapsed.Microseconds(), err != nil)
-
-	ev := audit.Event{
-		RequestID:  id,
-		TraceID:    tid,
-		SpecDigest: dig,
-		ElapsedUS:  elapsed.Microseconds(),
-		Phases:     auditPhases(rec),
-	}
 
 	if err != nil {
 		var msg string
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reg.Add("server.aborts.deadline", 1)
-			ev.Abort, ev.Status = "deadline", http.StatusGatewayTimeout
-			msg = "check aborted: deadline exceeded after " + elapsed.String()
-		case errors.Is(err, context.Canceled):
-			s.reg.Add("server.aborts.canceled", 1)
-			// The client is usually gone; the status code is best-effort.
-			ev.Abort, ev.Status = "canceled", 499
-			msg = "check aborted: request canceled"
-		default:
-			s.reg.Add("server.errors.internal", 1)
-			ev.Abort, ev.Status = "internal", http.StatusInternalServerError
-			msg = err.Error()
-		}
-		s.audit.Record(ev)
-		s.observeFlight("check", req, ev, rec, pub, elapsed)
-		s.writeError(w, id, tid, ev.Status, ev.Abort, msg)
+		rq.Status, rq.Abort, msg = s.classifyAbort(o.name, err, rq.elapsed)
+		s.finish(rq)
+		s.writeError(w, rq.RequestID, rq.TraceID, rq.Status, rq.Abort, msg)
 		return
 	}
-
-	ev.Verdict = res.Verdict.String()
-	ev.CertificateKind = res.Certificate.Kind()
-	ev.Status = http.StatusOK
-	ev.ScopeCosts = auditScopeCosts(res.Attribution)
-	s.audit.Record(ev)
-	s.observeFlight("check", req, ev, rec, pub, elapsed)
-
-	cresp := CheckResponse{
-		RequestID:   id,
-		TraceID:     tid,
-		SpecDigest:  dig,
-		Verdict:     res.Verdict.String(),
-		Class:       res.Class,
-		Method:      res.Method,
-		Witness:     res.Witness,
-		Diagnosis:   res.Diagnosis,
-		Certificate: res.Certificate,
-		Stats:       res.Stats,
-		ElapsedUS:   elapsed.Microseconds(),
-	}
-	if req.Options.Attribution {
-		cresp.Attribution = res.Attribution
-	}
-	s.writeJSON(w, http.StatusOK, cresp)
+	rq.Status = http.StatusOK
+	s.finish(rq)
+	s.writeJSON(w, http.StatusOK, respond())
 }
 
-// handleExplain runs the full explanation pipeline — check, then
-// deletion-based core minimization with derivation extraction and
-// repair-hint ranking — on the same request shape as /check. It is
-// deliberately a sibling of handleCheck rather than an option on it:
-// explanation re-decides many constraint subsets, so it gets its own
-// latency histogram, counters, and audit op.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r.Context())
-	tid := traceID(r.Context())
-
-	if !s.admit(w, id, tid) {
-		return
-	}
-	defer s.inflight.Add(-1)
-
-	req, spec, ok := s.readSpecRequest(w, r, id)
-	if !ok {
-		return
-	}
-	dig := spec.Digest()
-
-	pub := introspect.NewPublisher()
+// track registers rq in the in-flight table the status pages read; the
+// returned func removes it.
+func (s *Server) track(rq *request) func() {
 	s.runningMu.Lock()
-	s.running[id] = &runningCheck{ID: id, TraceID: tid, SpecDigest: dig, StartedAt: time.Now(), pub: pub}
+	s.running[rq.RequestID] = rq
 	s.runningMu.Unlock()
-	defer func() {
+	return func() {
 		s.runningMu.Lock()
-		delete(s.running, id)
+		delete(s.running, rq.RequestID)
 		s.runningMu.Unlock()
-	}()
-
-	ctx, cancel := s.checkContext(r.Context(), req.DeadlineMS)
-	defer cancel()
-
-	rec := obs.New()
-	rec.SetTraceID(tid)
-	root := rec.Start("server.explain")
-	root.SetString("request_id", id)
-	root.SetString("trace_id", tid)
-	root.SetString("spec_digest", dig)
-	spec.SetObserver(rec)
-
-	opts := req.Options.internal()
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
 	}
-	opts.Progress = pub
-	opts.ProfileLabel = dig
+}
 
-	start := time.Now()
-	ex, err := spec.ExplainContext(ctx, opts)
-	elapsed := time.Since(start)
-	root.SetInt("elapsed_us", elapsed.Microseconds())
-
-	rec.Observe("server.explain_us", elapsed.Microseconds())
-	rec.Add("server.explains", 1)
-	if err == nil {
-		rec.Add("server.verdict."+ex.Verdict.String(), 1)
+// classifyAbort maps a run's error to the HTTP status, the abort kind
+// (also the error response's kind), and the client message, and counts
+// it. name prefixes the abort messages.
+func (s *Server) classifyAbort(name string, err error, elapsed time.Duration) (status int, kind, msg string) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.reg.Add("server.aborts.deadline", 1)
+		return http.StatusGatewayTimeout, "deadline", name + " aborted: deadline exceeded after " + elapsed.String()
+	case errors.Is(err, context.Canceled):
+		s.reg.Add("server.aborts.canceled", 1)
+		// The client is usually gone; the status code is best-effort.
+		return 499, "canceled", name + " aborted: request canceled"
+	default:
+		s.reg.Add("server.errors.internal", 1)
+		return http.StatusInternalServerError, "internal", err.Error()
 	}
-	root.End()
-	s.reg.Absorb(rec)
-	s.reg.Exemplar("server.explain_us", elapsed.Microseconds(), tid)
-	s.writeTraceFile(id, rec)
-	s.rolling.Observe(elapsed.Microseconds(), err != nil)
+}
 
-	ev := audit.Event{
-		RequestID:  id,
-		TraceID:    tid,
-		Op:         "explain",
-		SpecDigest: dig,
-		ElapsedUS:  elapsed.Microseconds(),
-		Phases:     auditPhases(rec),
+// finish hands a finished request to every sink: the registry and its
+// latency exemplar, the trace file, the rolling windows, the audit log,
+// and the flight recorder — the single capture path for slow, errored,
+// aborted, and sampled inconsistent requests — plus the slow-check
+// accounting. The recorder's shared rate limiter and
+// <trigger>-<trace_id> naming guarantee a request is captured at most
+// once, whatever combination of triggers it trips. Sink failures are
+// logged, never surfaced: they must not fail a request that finished.
+func (s *Server) finish(rq *request) {
+	s.reg.Absorb(rq.rec)
+	s.reg.Exemplar(rq.op.latency, rq.ElapsedUS, rq.TraceID)
+	s.writeTraceFile(rq.RequestID, rq.rec)
+	s.rolling.Observe(rq.ElapsedUS, rq.Abort != "")
+	rq.Phases = auditPhases(rq.rec)
+	s.audit.Record(rq.Event)
+	if s.cfg.SlowThreshold > 0 && rq.elapsed >= s.cfg.SlowThreshold {
+		s.reg.Add("server.slow_checks", 1)
+		s.log.Warn("slow check",
+			"request_id", rq.RequestID, "trace_id", rq.TraceID, "spec_digest", rq.SpecDigest,
+			"elapsed", rq.elapsed, "threshold", s.cfg.SlowThreshold)
 	}
-
-	if err != nil {
-		var msg string
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reg.Add("server.aborts.deadline", 1)
-			ev.Abort, ev.Status = "deadline", http.StatusGatewayTimeout
-			msg = "explain aborted: deadline exceeded after " + elapsed.String()
-		case errors.Is(err, context.Canceled):
-			s.reg.Add("server.aborts.canceled", 1)
-			ev.Abort, ev.Status = "canceled", 499
-			msg = "explain aborted: request canceled"
-		default:
-			s.reg.Add("server.errors.internal", 1)
-			ev.Abort, ev.Status = "internal", http.StatusInternalServerError
-			msg = err.Error()
-		}
-		s.audit.Record(ev)
-		s.observeFlight("explain", req, ev, rec, pub, elapsed)
-		s.writeError(w, id, tid, ev.Status, ev.Abort, msg)
-		return
+	if file := s.flight.Observe(rq.flightRequest()); file != "" {
+		s.reg.Add("server.slow_captures", 1)
+		s.log.Warn("flight bundle dumped",
+			"request_id", rq.RequestID, "trace_id", rq.TraceID, "bundle", file)
 	}
+}
 
-	ev.Verdict = ex.Verdict.String()
-	ev.CertificateKind = ex.Certificate.Kind()
-	ev.Status = http.StatusOK
-	s.audit.Record(ev)
-	s.observeFlight("explain", req, ev, rec, pub, elapsed)
-
-	s.writeJSON(w, http.StatusOK, ExplainResponse{
-		RequestID:       id,
-		TraceID:         tid,
-		SpecDigest:      dig,
-		Verdict:         ex.Verdict.String(),
-		Method:          ex.Method,
-		Core:            ex.Core,
-		CoreConstraints: ex.CoreConstraints,
-		Derivation:      ex.Derivation,
-		Hints:           ex.Hints,
-		Cores:           ex.Cores,
-		Checks:          ex.Checks,
-		Certificate:     ex.Certificate,
-		ElapsedUS:       elapsed.Microseconds(),
-	})
+// flightRequest is the record as the flight recorder observes it. The
+// middleware's panic path builds a partial record (no spec, recorder,
+// or publisher) and observes it the same way.
+func (rq *request) flightRequest() flight.Request {
+	return flight.Request{
+		TraceID:     rq.TraceID,
+		RequestID:   rq.RequestID,
+		SpecDigest:  rq.SpecDigest,
+		Op:          rq.op.name,
+		DTD:         rq.req.DTD,
+		Constraints: rq.req.Constraints,
+		Status:      rq.Status,
+		Abort:       rq.Abort,
+		Verdict:     rq.Verdict,
+		Elapsed:     rq.elapsed,
+		Rec:         rq.rec,
+		Progress:    rq.pub,
+	}
 }
 
 // auditScopeCosts caps the attribution rows stamped into an audit
@@ -674,41 +685,6 @@ func auditPhases(rec *obs.Recorder) []audit.Phase {
 	return phases
 }
 
-// observeFlight hands a finished request to the flight recorder — the
-// single capture path for slow, errored, aborted, and sampled
-// inconsistent checks — and keeps the slow-check accounting. The
-// recorder's shared rate limiter and <trigger>-<trace_id> naming
-// guarantee a request is captured at most once, whatever combination
-// of triggers it trips. Capture failures are logged by the recorder,
-// never surfaced: capture must not fail a check that finished.
-func (s *Server) observeFlight(op string, req CheckRequest, ev audit.Event, rec *obs.Recorder, pub *introspect.Publisher, elapsed time.Duration) {
-	if s.cfg.SlowThreshold > 0 && elapsed >= s.cfg.SlowThreshold {
-		s.reg.Add("server.slow_checks", 1)
-		s.log.Warn("slow check",
-			"request_id", ev.RequestID, "trace_id", ev.TraceID, "spec_digest", ev.SpecDigest,
-			"elapsed", elapsed, "threshold", s.cfg.SlowThreshold)
-	}
-	file := s.flight.Observe(flight.Request{
-		TraceID:     ev.TraceID,
-		RequestID:   ev.RequestID,
-		SpecDigest:  ev.SpecDigest,
-		Op:          op,
-		DTD:         req.DTD,
-		Constraints: req.Constraints,
-		Status:      ev.Status,
-		Abort:       ev.Abort,
-		Verdict:     ev.Verdict,
-		Elapsed:     elapsed,
-		Rec:         rec,
-		Progress:    pub,
-	})
-	if file != "" {
-		s.reg.Add("server.slow_captures", 1)
-		s.log.Warn("flight bundle dumped",
-			"request_id", ev.RequestID, "trace_id", ev.TraceID, "bundle", file)
-	}
-}
-
 // checkContext derives the context a check runs under: the request
 // context (canceled on client disconnect) bounded by the tighter of
 // the server-wide and per-request deadlines.
@@ -725,9 +701,9 @@ func (s *Server) checkContext(ctx context.Context, deadlineMS int64) (context.Co
 	return context.WithTimeout(ctx, d)
 }
 
-// internal converts the JSON options to facade options. The handlers
-// attach the progress publisher and force the attribution ledger on
-// afterwards.
+// internal converts the JSON options to facade options. serve then
+// attaches the request's progress publisher, profile label, and default
+// parallelism, and the check route forces the attribution ledger on.
 func (o CheckOptions) internal() *xmlspec.Options {
 	return &xmlspec.Options{
 		MaxSolverNodes:  o.MaxSolverNodes,

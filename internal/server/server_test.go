@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,13 +70,25 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func postCheck(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Response, []byte) {
 	t.Helper()
+	return postSpec(t, ts, "/check", req)
+}
+
+func postExplain(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Response, []byte) {
+	t.Helper()
+	return postSpec(t, ts, "/explain", req)
+}
+
+// postSpec POSTs a spec request to one of the two spec routes (/check
+// or /explain) and returns the response with its drained body.
+func postSpec(t *testing.T, ts *httptest.Server, path string, req CheckRequest) (*http.Response, []byte) {
+	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	resp, err := http.Post(ts.URL+"/check", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /check: %v", err)
+		t.Fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
@@ -84,22 +98,14 @@ func postCheck(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Respo
 	return resp, out
 }
 
-func postExplain(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Response, []byte) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	resp, err := http.Post(ts.URL+"/explain", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /explain: %v", err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	return resp, out
+// specRoutes are the two routes that run the serving pipeline; the
+// tests pinning shared sink behaviour run over both. metric is the
+// route's latency histogram and counter stem, auditOp its audit Op.
+var specRoutes = []struct {
+	path, metric, counter, auditOp string
+}{
+	{"/check", "server_check_us", "server_checks_total", ""},
+	{"/explain", "server_explain_us", "server_explains_total", "explain"},
 }
 
 func TestHealthz(t *testing.T) {
@@ -340,52 +346,56 @@ func TestServerDeadlineConfig(t *testing.T) {
 }
 
 func TestMetricsExposition(t *testing.T) {
-	reg := telemetry.NewRegistry("")
-	_, ts := newTestServer(t, Config{Registry: reg})
+	for _, rt := range specRoutes {
+		t.Run(rt.path[1:], func(t *testing.T) {
+			reg := telemetry.NewRegistry("")
+			_, ts := newTestServer(t, Config{Registry: reg})
 
-	// Drive one check so the latency histograms have observations.
-	if resp, out := postCheck(t, ts, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("seed check failed: %d %s", resp.StatusCode, out)
-	}
+			// Drive one request so the latency histograms have observations.
+			if resp, out := postSpec(t, ts, rt.path, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("seed request failed: %d %s", resp.StatusCode, out)
+			}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	text, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	exp, err := telemetry.ParseExposition(string(text))
-	if err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, text)
-	}
-	for _, want := range []string{
-		"xmlconsist_build_info",
-		"xmlconsist_server_requests_total",
-		"xmlconsist_server_checks_total",
-		"xmlconsist_server_check_us_count",
-		"xmlconsist_server_inflight_checks",
-		"xmlconsist_process_goroutines",
-	} {
-		if _, ok := exp.Sample(want); !ok {
-			t.Errorf("metric %s missing from exposition", want)
-		}
-	}
-	// Latency histogram buckets must be present and typed.
-	sawBucket := false
-	for _, s := range exp.Samples {
-		if s.Name == "xmlconsist_server_check_us_bucket" {
-			sawBucket = true
-			break
-		}
-	}
-	if !sawBucket {
-		t.Errorf("no check-latency histogram buckets in exposition")
-	}
-	if ty := exp.Types["xmlconsist_server_check_us"]; ty != "histogram" {
-		t.Errorf("server_check_us TYPE = %q, want histogram", ty)
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatalf("GET /metrics: %v", err)
+			}
+			defer resp.Body.Close()
+			text, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			exp, err := telemetry.ParseExposition(string(text))
+			if err != nil {
+				t.Fatalf("exposition invalid: %v\n%s", err, text)
+			}
+			for _, want := range []string{
+				"xmlconsist_build_info",
+				"xmlconsist_server_requests_total",
+				"xmlconsist_" + rt.counter,
+				"xmlconsist_" + rt.metric + "_count",
+				"xmlconsist_server_inflight_checks",
+				"xmlconsist_process_goroutines",
+			} {
+				if _, ok := exp.Sample(want); !ok {
+					t.Errorf("metric %s missing from exposition", want)
+				}
+			}
+			// Latency histogram buckets must be present and typed.
+			sawBucket := false
+			for _, s := range exp.Samples {
+				if s.Name == "xmlconsist_"+rt.metric+"_bucket" {
+					sawBucket = true
+					break
+				}
+			}
+			if !sawBucket {
+				t.Errorf("no %s histogram buckets in exposition", rt.metric)
+			}
+			if ty := exp.Types["xmlconsist_"+rt.metric]; ty != "histogram" {
+				t.Errorf("%s TYPE = %q, want histogram", rt.metric, ty)
+			}
+		})
 	}
 }
 
@@ -401,6 +411,42 @@ func TestMaxInflight(t *testing.T) {
 	var er ErrorResponse
 	if err := json.Unmarshal(out, &er); err != nil || er.Kind != "overload" {
 		t.Fatalf("error body = %s (err %v), want kind overload", out, err)
+	}
+}
+
+// TestAdmitAtomic races many admits against a one-slot cap with no
+// slot ever released: claiming the slot and comparing against the cap
+// are one atomic step, so exactly one caller may win and the committed
+// in-flight count must settle at exactly the cap.
+func TestAdmitAtomic(t *testing.T) {
+	s := NewServer(Config{MaxInflight: 1, Logger: quietLogger()})
+	const n = 64
+	var admitted atomic.Int64
+	var ready, done sync.WaitGroup
+	start := make(chan struct{})
+	ready.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			rr := httptest.NewRecorder()
+			ready.Done()
+			<-start
+			if s.admit(rr, "req", "") {
+				admitted.Add(1)
+			} else if rr.Code != http.StatusTooManyRequests {
+				t.Errorf("rejected admit answered %d, want 429", rr.Code)
+			}
+		}()
+	}
+	ready.Wait()
+	close(start)
+	done.Wait()
+	if got := admitted.Load(); got != 1 {
+		t.Errorf("admitted %d of %d concurrent requests under MaxInflight 1, want exactly 1", got, n)
+	}
+	if got := s.inflight.Load(); got != 1 {
+		t.Errorf("inflight = %d after the race, want 1", got)
 	}
 }
 
@@ -428,30 +474,38 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestTraceDir: both routes store their span tree as
+// check-<request-id>.json, the one trace-file pattern.
 func TestTraceDir(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{TraceDir: dir})
-	resp, out := postCheck(t, ts, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("check failed: %d %s", resp.StatusCode, out)
-	}
-	var cr CheckResponse
-	if err := json.Unmarshal(out, &cr); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("check-%s.json", cr.RequestID))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("trace file: %v", err)
-	}
-	var trace struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &trace); err != nil {
-		t.Fatalf("trace is not Chrome trace JSON: %v", err)
-	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatalf("trace has no events")
+	for _, rt := range specRoutes {
+		t.Run(rt.path[1:], func(t *testing.T) {
+			dir := t.TempDir()
+			_, ts := newTestServer(t, Config{TraceDir: dir})
+			resp, out := postSpec(t, ts, rt.path, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("request failed: %d %s", resp.StatusCode, out)
+			}
+			var body struct {
+				RequestID string `json:"request_id"`
+			}
+			if err := json.Unmarshal(out, &body); err != nil || body.RequestID == "" {
+				t.Fatalf("decode: %v (%s)", err, out)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("check-%s.json", body.RequestID))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("trace file: %v", err)
+			}
+			var trace struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(data, &trace); err != nil {
+				t.Fatalf("trace is not Chrome trace JSON: %v", err)
+			}
+			if len(trace.TraceEvents) == 0 {
+				t.Fatalf("trace has no events")
+			}
+		})
 	}
 }
 
@@ -545,22 +599,27 @@ func TestAuditTrail(t *testing.T) {
 }
 
 func TestAuditRecordsAborts(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
 	in := experiments.Fig3Unary(rand.New(rand.NewSource(7)), 16)
-	resp, out := postCheck(t, ts, CheckRequest{
-		DTD:         in.D.String(),
-		Constraints: in.Set.String(),
-		DeadlineMS:  1,
-	})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, out)
-	}
-	recent := s.audit.Recent(1)
-	if len(recent) != 1 {
-		t.Fatalf("no audit event for aborted check")
-	}
-	if recent[0].Abort != "deadline" || recent[0].Status != http.StatusGatewayTimeout || recent[0].Verdict != "" {
-		t.Errorf("abort event = %+v", recent[0])
+	for _, rt := range specRoutes {
+		t.Run(rt.path[1:], func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			resp, out := postSpec(t, ts, rt.path, CheckRequest{
+				DTD:         in.D.String(),
+				Constraints: in.Set.String(),
+				DeadlineMS:  1,
+			})
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status = %d, want 504: %s", resp.StatusCode, out)
+			}
+			recent := s.audit.Recent(1)
+			if len(recent) != 1 {
+				t.Fatalf("no audit event for aborted request")
+			}
+			ev := recent[0]
+			if ev.Op != rt.auditOp || ev.Abort != "deadline" || ev.Status != http.StatusGatewayTimeout || ev.Verdict != "" {
+				t.Errorf("abort event = %+v, want op %q abort deadline status 504", ev, rt.auditOp)
+			}
+		})
 	}
 }
 
@@ -821,17 +880,10 @@ func TestDebugInflight(t *testing.T) {
 	pub.SetScope(3, "db/country")
 	pub.Restart()
 	pub.Publish(introspect.Progress{Nodes: 1234, Pivots: 56, LPCalls: 7, BoundLo: 2, BoundHi: -1})
-	s.runningMu.Lock()
-	s.running["req-test"] = &runningCheck{
-		ID: "req-test", SpecDigest: "spec-cafecafecafecafe",
-		StartedAt: time.Now().Add(-time.Second), pub: pub,
-	}
-	s.runningMu.Unlock()
-	defer func() {
-		s.runningMu.Lock()
-		delete(s.running, "req-test")
-		s.runningMu.Unlock()
-	}()
+	defer s.track(&request{
+		Event: audit.Event{RequestID: "req-test", SpecDigest: "spec-cafecafecafecafe"},
+		start: time.Now().Add(-time.Second), pub: pub,
+	})()
 
 	resp, err := http.Get(ts.URL + "/debug/inflight")
 	if err != nil {

@@ -187,20 +187,20 @@ func (s *Server) status() Status {
 	return st
 }
 
-// inflightRows snapshots the running checks: the registration row from
-// the handler joined with the latest progress snapshot the solver
-// published (Snapshot never blocks the search). Rows are sorted
-// longest-running first.
+// inflightRows snapshots the running checks: each request's record
+// joined with the latest progress snapshot the solver published
+// (Snapshot never blocks the search). Rows are sorted longest-running
+// first.
 func (s *Server) inflightRows() []StatusInflight {
 	s.runningMu.Lock()
 	now := time.Now()
 	rows := make([]StatusInflight, 0, len(s.running))
 	for _, rc := range s.running {
 		row := StatusInflight{
-			RequestID:  rc.ID,
+			RequestID:  rc.RequestID,
 			TraceID:    rc.TraceID,
 			SpecDigest: rc.SpecDigest,
-			ElapsedMS:  now.Sub(rc.StartedAt).Milliseconds(),
+			ElapsedMS:  now.Sub(rc.start).Milliseconds(),
 		}
 		if pr, ok := rc.pub.Snapshot(); ok {
 			row.Phase = pr.Phase
