@@ -88,7 +88,8 @@ bench:
 # X-Request-Id echo), a 1ms-deadline check that must abort with a
 # deadline error, the /debug status pages, a line-by-line validation
 # of the /metrics exposition (including rolling-window and SLO
-# burn-rate gauges) — then SIGTERMs the daemon, requires a clean exit,
+# burn-rate gauges), a third identical check answered from the verdict
+# cache — then SIGTERMs the daemon, requires a clean exit,
 # parses the audit log against the responses, and re-runs with a
 # 1ns slow threshold to require exactly one quarantined trace+spec
 # pair.

@@ -11,10 +11,13 @@
 // The digest is the serving layer's identity key: it is stamped into
 // certificates, audit-log events, benchmark-journal entries, traces,
 // and every /check response, so a hot spec can be recognized across
-// requests, joined across artifacts, and (in a future PR) used as a
+// requests, joined across artifacts, and used as the daemon's
 // verdict-cache key. Real-world workloads are dominated by a small set
 // of recurring schemas, which is what makes a canonical identity worth
-// having.
+// having. The digest is a 64-bit hash, so two different
+// specifications can share one; that is why the verdict cache re-proves
+// every hit's certificate against the requesting specification instead
+// of trusting the key.
 package digest
 
 import (

@@ -22,6 +22,25 @@
 // client disconnect or timeout aborts the worst-case exponential
 // search promptly and leaks no goroutines.
 //
+// /check answers repeated specs from a verdict cache. It is keyed by
+// the spec digest and the effective decision options (max solver
+// nodes, max value, skip/minimize witness, skip lint, and the
+// parallelism after the server default is applied). A hit decodes the
+// stored certificate and re-proves it with VerifyCertificate against
+// the request's own parsed spec, under a server.cache span with a
+// verify child; the digest is a 64-bit hash and could collide, so a
+// certificate that fails is counted, evicted, and the spec decided in
+// full. A verdict is admitted only when its key's fingerprint is
+// already in a bounded recently-seen set, and entries are evicted
+// least recently used first under a fixed byte budget, so traffic that
+// never repeats a spec never fills the cache. Entries hold the
+// certificate as compact JSON, never the live certificate or the
+// attribution ledger. Requests asking for attribution or skipping the
+// certificate, and /explain, never read or write it; Unknown and
+// aborted results are never stored. A hit returns the stored Stats of
+// the solve that produced it, and its audit event carries no scope
+// costs.
+//
 // Every request also runs under W3C trace context: the middleware
 // parses an inbound traceparent header (or starts a fresh trace),
 // echoes it on the response, and the trace ID flows into the span
@@ -147,6 +166,10 @@ type Server struct {
 	// flight is the anomaly flight recorder: ring of recent requests
 	// plus the trigger-driven quarantine dumper.
 	flight *flight.Recorder
+
+	// cache holds verified-on-hit /check verdicts by spec digest and
+	// decision options.
+	cache *verdictCache
 }
 
 // NewServer validates the config and builds a server.
@@ -178,6 +201,7 @@ func NewServer(cfg Config) *Server {
 		rolling: telemetry.NewRolling(cfg.SLOTarget.Microseconds()),
 		start:   time.Now(),
 		running: map[string]*request{},
+		cache:   newVerdictCache(cacheBudget),
 		flight: flight.New(flight.Options{
 			Dir:                cfg.QuarantineDir,
 			SlowThreshold:      cfg.SlowThreshold,
@@ -209,6 +233,22 @@ func NewServer(cfg Config) *Server {
 	s.reg.Help(checkLatency, "Consistency-check latency in microseconds (verdict-bearing requests).")
 	s.reg.Help("server.slow_captures", "Flight bundles dumped to the quarantine directory (trace+spec pairs, any trigger).")
 	s.reg.Help("server.slow_checks", "Checks that exceeded the slow threshold (captured or not).")
+	s.reg.Help(cacheHits, "Checks answered from the verdict cache after their stored certificate re-verified.")
+	s.reg.Help(cacheMisses, "Cacheable checks decided in full (no entry, or its certificate failed verification).")
+	s.reg.Help(cacheAdmits, "Verdicts stored in the cache on their key's second sighting.")
+	s.reg.Help(cacheEvictions, "Verdict-cache entries evicted to keep the byte budget.")
+	s.reg.Help(cacheVerifyFailures, "Cached certificates that failed re-verification and were evicted.")
+	// The cache counters read 0 from the start rather than appearing at
+	// their first increment.
+	for _, name := range []string{cacheHits, cacheMisses, cacheAdmits, cacheEvictions, cacheVerifyFailures} {
+		s.reg.Add(name, 0)
+	}
+	s.reg.RegisterGauge("server_cache_entries",
+		"Verdicts held in the /check verdict cache.",
+		func() float64 { n, _ := s.cache.stats(); return float64(n) })
+	s.reg.RegisterGauge("server_cache_bytes",
+		"Approximate bytes held by the /check verdict cache.",
+		func() float64 { _, b := s.cache.stats(); return float64(b) })
 	s.reg.RegisterGauge("server_flight_triggered",
 		"Requests that tripped a flight-recorder trigger.",
 		func() float64 { t, _, _ := s.flight.Stats(); return float64(t) })
@@ -426,15 +466,15 @@ type op struct {
 	// run decides the spec, stamps the verdict, certificate kind, and
 	// scope costs into the record, and returns the func that renders
 	// the response body once the record is complete.
-	run func(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (respond func() any, err error)
+	run func(ctx context.Context, s *Server, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (respond func() any, err error)
 }
 
 var (
 	checkOp = op{
 		name: "check", span: "server.check", latency: checkLatency, count: checkCount,
 		attribution: true,
-		run: func(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (func() any, error) {
-			res, err := spec.CheckContext(ctx, opts)
+		run: func(ctx context.Context, s *Server, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (func() any, error) {
+			res, err := s.decide(ctx, spec, opts, rq)
 			if err != nil {
 				return nil, err
 			}
@@ -469,7 +509,7 @@ var (
 	explainOp = op{
 		name: "explain", span: "server.explain", latency: explainLatency, count: explainCount,
 		auditOp: "explain",
-		run: func(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (func() any, error) {
+		run: func(ctx context.Context, _ *Server, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (func() any, error) {
 			ex, err := spec.ExplainContext(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -556,7 +596,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, o op) {
 
 	rq.start = time.Now()
 	defer s.track(rq)()
-	respond, err := o.run(ctx, spec, opts, rq)
+	respond, err := o.run(ctx, s, spec, opts, rq)
 	rq.elapsed = time.Since(rq.start)
 	rq.ElapsedUS = rq.elapsed.Microseconds()
 	root.SetInt("elapsed_us", rq.ElapsedUS)

@@ -29,16 +29,22 @@
 //     body), and the OpenMetrics /metrics exposition (served under
 //     Accept negotiation, "# EOF"-terminated) must carry it as an
 //     exemplar on the check-duration histogram;
-//  10. SIGTERM the daemon, require a clean exit, then parse the audit
+//  10. POST the Figure 2 library spec three times: the third answer
+//     must come from the verdict cache — its body equal to the first
+//     apart from request_id, trace_id and elapsed_us — and /metrics
+//     must count exactly one more admit and one more hit;
+//  11. SIGTERM the daemon, require a clean exit, then parse the audit
 //     log and match it against the responses — including an
-//     op:"explain" event and the propagated trace ID — and require
-//     the quarantine to hold exactly the deadline abort's flight
-//     bundle (one abort-<trace_id> .json+.spec pair, nothing else);
-//  11. restart the daemon with a 1ns slow threshold, drive three
+//     op:"explain" event, the propagated trace ID, and a last event
+//     (the cache hit) with a server.cache/verify phase and no solver
+//     phase — and require the quarantine to hold exactly the deadline
+//     abort's flight bundle (one abort-<trace_id> .json+.spec pair,
+//     nothing else);
+//  12. restart the daemon with a 1ns slow threshold, drive three
 //     checks (the first under a known traceparent), and require
 //     exactly one flight bundle, named slow-<trace_id> after that
 //     known trace (the shared capture rate limit holds);
-//  12. decide a hard Figure 3 check and a hard hierarchical (Figure 4
+//  13. decide a hard Figure 3 check and a hard hierarchical (Figure 4
 //     QBF) check on a sequential daemon, then again on one restarted
 //     with -parallel 4: the verdicts must match, and /debug/inflight
 //     must report ≥2 active scope workers while the hierarchical
@@ -219,6 +225,10 @@ func smoke(bin string) error {
 	if err := checkTraceCorrelation(base); err != nil {
 		return err
 	}
+	hitID, err := checkVerdictCache(base)
+	if err != nil {
+		return err
+	}
 
 	if err := d.shutdown(); err != nil {
 		return err
@@ -226,8 +236,9 @@ func smoke(bin string) error {
 	fmt.Println("servesmoke: clean shutdown")
 
 	// The audit trail is flushed on shutdown; the first event must be
-	// the consistent check we drove, digest and all.
-	if err := checkAuditLog(auditPath, requestID, digest); err != nil {
+	// the consistent check we drove, digest and all, and the last the
+	// verdict-cache hit.
+	if err := checkAuditLog(auditPath, requestID, digest, hitID); err != nil {
 		return err
 	}
 	// Nothing crossed the 1h slow threshold, but the 1ms-deadline abort
@@ -689,9 +700,97 @@ func checkTraceCorrelation(base string) error {
 	return nil
 }
 
+// checkVerdictCache posts the library spec three times and requires
+// the third answer to be a verdict-cache hit: the same body as the
+// first apart from the per-request fields, one more admit (on the
+// second sighting) and one more hit on /metrics. It returns the hit's
+// request ID.
+func checkVerdictCache(base string) (string, error) {
+	dtd, err := os.ReadFile("testdata/library.dtd")
+	if err != nil {
+		return "", err
+	}
+	keys, err := os.ReadFile("testdata/library.keys")
+	if err != nil {
+		return "", err
+	}
+	before, err := cacheCounters(base)
+	if err != nil {
+		return "", err
+	}
+	var bodies [3]map[string]any
+	for i := range bodies {
+		resp, out, err := postCheck(base, map[string]any{"dtd": string(dtd), "constraints": string(keys)})
+		if err != nil {
+			return "", err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return "", fmt.Errorf("library check %d: status %d: %s", i+1, resp.StatusCode, out)
+		}
+		if err := json.Unmarshal(out, &bodies[i]); err != nil {
+			return "", fmt.Errorf("decoding library check %d: %w", i+1, err)
+		}
+	}
+	hitID, _ := bodies[2]["request_id"].(string)
+	var stable [3]string
+	for i, b := range bodies {
+		for _, k := range []string{"request_id", "trace_id", "elapsed_us"} {
+			delete(b, k)
+		}
+		out, err := json.Marshal(b)
+		if err != nil {
+			return "", err
+		}
+		stable[i] = string(out)
+	}
+	if stable[2] != stable[0] {
+		return "", fmt.Errorf("cache hit body differs from the first response:\nfirst: %s\nhit:   %s", stable[0], stable[2])
+	}
+	after, err := cacheCounters(base)
+	if err != nil {
+		return "", err
+	}
+	for _, name := range []string{"admits", "hits"} {
+		if d := after[name] - before[name]; d != 1 {
+			return "", fmt.Errorf("server.cache.%s rose by %v over three identical checks, want 1", name, d)
+		}
+	}
+	fmt.Println("servesmoke: verdict cache ok (third identical check is a verified hit, body unchanged)")
+	return hitID, nil
+}
+
+// cacheCounters reads the verdict cache's admit and hit counters from
+// /metrics.
+func cacheCounters(base string) (map[string]float64, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("GET /metrics: %w", err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	exp, err := telemetry.ParseExposition(string(text))
+	if err != nil {
+		return nil, fmt.Errorf("exposition invalid: %w", err)
+	}
+	out := map[string]float64{}
+	for _, name := range []string{"admits", "hits"} {
+		s, ok := exp.Sample("xmlconsist_server_cache_" + name + "_total")
+		if !ok {
+			return nil, fmt.Errorf("metric xmlconsist_server_cache_%s_total missing from /metrics", name)
+		}
+		out[name] = s.Value
+	}
+	return out, nil
+}
+
 // checkAuditLog parses every line of the audit trail and requires the
-// first event to match the consistent check's response.
-func checkAuditLog(path, requestID, digest string) error {
+// first event to match the consistent check's response and the last to
+// be the verdict-cache hit hitID: re-verified under a server.cache/verify
+// span, with no solver phase.
+func checkAuditLog(path, requestID, digest, hitID string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("audit log: %w", err)
@@ -707,8 +806,11 @@ func checkAuditLog(path, requestID, digest string) error {
 		SpecDigest string `json:"spec_digest"`
 		Verdict    string `json:"verdict"`
 		Abort      string `json:"abort"`
+		Phases     []struct {
+			Path string `json:"path"`
+		} `json:"phases"`
 	}
-	var first event
+	var first, last event
 	for i, line := range lines {
 		var ev event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -720,9 +822,25 @@ func checkAuditLog(path, requestID, digest string) error {
 		if i == 0 {
 			first = ev
 		}
+		last = ev
 	}
 	if first.RequestID != requestID || first.SpecDigest != digest || first.Verdict != "consistent" {
 		return fmt.Errorf("first audit event %+v does not match response (id %s, digest %s)", first, requestID, digest)
+	}
+	if last.RequestID != hitID {
+		return fmt.Errorf("last audit event is %s, want the cache hit %s", last.RequestID, hitID)
+	}
+	sawVerify := false
+	for _, p := range last.Phases {
+		if p.Path == "server.check/server.cache/verify" {
+			sawVerify = true
+		}
+		if strings.Contains(p.Path, "xmlspec.check") {
+			return fmt.Errorf("cache hit %s ran the checker (phase %s)", hitID, p.Path)
+		}
+	}
+	if !sawVerify {
+		return fmt.Errorf("cache hit %s has no server.cache/verify phase: %+v", hitID, last.Phases)
 	}
 	var sawAbort, sawExplain, sawTrace bool
 	for _, line := range lines {
