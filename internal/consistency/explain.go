@@ -39,8 +39,10 @@ type Explanation struct {
 	Hints []RepairHint `json:"hints,omitempty"`
 	// Cores counts the distinct unsat cores enumerated for ranking.
 	Cores int `json:"cores"`
-	// Checks counts the consistency sub-decisions (saturations that
-	// fell back to the full check) performed during minimization.
+	// Checks counts the decisions made by the full procedure: the check
+	// of the whole specification plus every distinct constraint subset
+	// the minimizer decided by a full check because saturation did not
+	// refute it. A subset is decided at most once per explanation.
 	Checks int `json:"checks"`
 	// Certificate is the verdict's provenance; for prover refutations
 	// it carries the derivation and verifies by pure replay.
@@ -123,20 +125,53 @@ func Explain(d *dtd.DTD, set *constraint.Set, opts Options) (Explanation, error)
 // minimizer runs deletion-based core extraction with the prover as the
 // fast inconsistency oracle and the full check as the fallback.
 type minimizer struct {
-	d      *dtd.DTD
-	set    *constraint.Set
-	opts   Options
-	checks int
+	d    *dtd.DTD
+	set  *constraint.Set
+	opts Options
+	// analysis is the DTD-only half of every saturation, shared by all
+	// of them.
+	analysis *prover.Analysis
+	// decided memoizes the outcome of every subset decided so far,
+	// keyed by the subset's Σ-membership bitset, so shrink, hints and
+	// derivationFor never decide one subset twice.
+	decided map[string]decision
+	key     []byte // scratch bitset for keyOf
+	checks  int
 	// err records the first aborted sub-check, so a fired context stops
 	// the whole explanation instead of silently weakening the core.
 	err error
+}
+
+// decision is the memoized outcome of one subset.
+type decision struct {
+	inconsistent bool
+	// derivation is the prover's refutation of the subset, in
+	// subset-local Σ indices; nil when saturation did not decide it.
+	derivation []prover.Step
 }
 
 func newMinimizer(d *dtd.DTD, set *constraint.Set, opts Options) *minimizer {
 	opts.Explain = false // subsets run the plain pipeline; we saturate explicitly
 	opts.SkipWitness = true
 	opts.SkipCertificate = true
-	return &minimizer{d: d, set: set, opts: opts}
+	return &minimizer{
+		d:        d,
+		set:      set,
+		opts:     opts,
+		analysis: prover.Analyze(d),
+		decided:  map[string]decision{},
+		key:      make([]byte, (prover.ConstraintCount(set)+7)/8),
+	}
+}
+
+// keyOf renders the Σ-membership bitset of indices into the scratch
+// key; callers convert it to a string only to store it.
+func (m *minimizer) keyOf(indices []int) []byte {
+	clear(m.key)
+	for _, i := range indices {
+		m.key[i>>3] |= 1 << (i & 7)
+	}
+	return m.key
 }
 
 // allIndices lists every Σ index in the prover's canonical order.
@@ -173,26 +208,52 @@ func (m *minimizer) subset(indices []int) *constraint.Set {
 // inconsistent: the prover refutes it, or the full decision procedure
 // returns Inconsistent. Unknown outcomes count as "not provably
 // inconsistent", which keeps minimization conservative — a member is
-// only dropped when its absence still yields a proof.
+// only dropped when its absence still yields a proof. Each subset is
+// decided once; repeats answer from the memo.
 func (m *minimizer) inconsistent(indices []int) bool {
+	if dec, ok := m.decided[string(m.keyOf(indices))]; ok {
+		return dec.inconsistent
+	}
+	dec, ok := m.decide(indices)
+	if ok {
+		m.decided[string(m.keyOf(indices))] = dec
+	}
+	return dec.inconsistent
+}
+
+// decide decides one subset, reporting ok=false when the explanation
+// has been aborted and the outcome means nothing. The context is
+// consulted before any work: saturation cannot be interrupted, so an
+// abort must stop the minimizer before it starts one.
+func (m *minimizer) decide(indices []int) (decision, bool) {
+	if m.err != nil {
+		return decision{}, false
+	}
+	if ctx := m.opts.Ctx; ctx != nil {
+		if err := ctx.Err(); err != nil {
+			m.err = &AbortError{Err: err}
+			return decision{}, false
+		}
+	}
 	sub := m.subset(indices)
 	if sub.Validate(m.d) != nil {
 		// An ill-formed subset (foreign key without its paired key)
 		// decides nothing; treat as not provably inconsistent.
-		return false
+		return decision{}, true
 	}
-	if prover.Saturate(m.d, sub).Refuted {
-		return true
+	if out := m.analysis.Saturate(sub); out.Refuted {
+		return decision{inconsistent: true, derivation: out.Derivation}, true
 	}
 	res, err := Check(m.d, sub, m.opts)
 	m.checks++
 	if err != nil {
-		if m.err == nil && Aborted(err) {
+		if Aborted(err) {
 			m.err = err
+			return decision{}, false
 		}
-		return false
+		return decision{}, true
 	}
-	return res.Verdict == Inconsistent
+	return decision{inconsistent: res.Verdict == Inconsistent}, true
 }
 
 // shrink performs one deletion pass over the candidate indices,
@@ -232,22 +293,29 @@ func (m *minimizer) shrink(candidates []int) []int {
 	return core
 }
 
-// derivationFor re-saturates the core subset and, when the prover
-// refutes it, remaps the derivation's constraint citations from
-// subset-local Σ indices back to the full set's. The remapped
+// derivationFor takes the core subset's saturation (from the memo, or
+// run afresh) and, when the prover refutes it, remaps the derivation's
+// constraint citations from subset-local Σ indices back to the full
+// set's. The remapped
 // derivation replays against the full specification: every cited
 // constraint is identical and every scope the subset declares is also
 // declared by the superset.
 func (m *minimizer) derivationFor(core []int) ([]prover.Step, bool) {
-	sub := m.subset(core)
-	out := prover.Saturate(m.d, sub)
-	if !out.Refuted {
+	dec, ok := m.decided[string(m.keyOf(core))]
+	if !ok {
+		// The core went undecided only if shrink kept all of Σ, which
+		// the initial check already decided; only the derivation is
+		// missing, so saturating suffices.
+		out := m.analysis.Saturate(m.subset(core))
+		dec.derivation = out.Derivation
+	}
+	if dec.derivation == nil {
 		return nil, false
 	}
 	// Subset-local canonical order is the kept keys in order, then the
 	// kept inclusions in order — i.e. core itself re-sorted keys-first,
 	// which ascending Σ order already is.
-	steps := append([]prover.Step(nil), out.Derivation...)
+	steps := append([]prover.Step(nil), dec.derivation...)
 	for i := range steps {
 		if len(steps[i].Constraints) == 0 {
 			continue
@@ -270,7 +338,7 @@ func (m *minimizer) derivationFor(core []int) ([]prover.Step, bool) {
 // them by membership count. Ties break toward lower Σ indices.
 func (m *minimizer) hints(first []int) ([]RepairHint, int) {
 	cores := [][]int{first}
-	seen := map[string]bool{coreKey(first): true}
+	seen := map[string]bool{string(m.keyOf(first)): true}
 	for _, drop := range first {
 		if len(cores) >= maxCoreEnumeration {
 			break
@@ -285,7 +353,7 @@ func (m *minimizer) hints(first []int) ([]RepairHint, int) {
 			continue // dropping this member alone repairs the spec
 		}
 		core := m.shrink(rest)
-		if key := coreKey(core); !seen[key] {
+		if key := string(m.keyOf(core)); !seen[key] {
 			seen[key] = true
 			cores = append(cores, core)
 		}
@@ -332,10 +400,6 @@ func (m *minimizer) action(c int) string {
 		return "weaken"
 	}
 	return "drop"
-}
-
-func coreKey(core []int) string {
-	return fmt.Sprint(core)
 }
 
 // renderConstraint gives the Σ member at the prover-canonical index its

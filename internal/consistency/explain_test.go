@@ -1,6 +1,9 @@
 package consistency
 
 import (
+	"context"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +14,7 @@ import (
 	"repro/internal/prover"
 )
 
-func loadTestdataSpec(t *testing.T, dtdName, keysName string) (*dtd.DTD, *constraint.Set) {
+func loadTestdataSpec(t testing.TB, dtdName, keysName string) (*dtd.DTD, *constraint.Set) {
 	t.Helper()
 	dir := filepath.Join("..", "..", "testdata")
 	db, err := os.ReadFile(filepath.Join(dir, dtdName+".dtd"))
@@ -205,5 +208,63 @@ func TestExplainCheckShortCircuit(t *testing.T) {
 	}
 	if res2.Verdict != Inconsistent {
 		t.Fatalf("verdict without prover %v, want Inconsistent", res2.Verdict)
+	}
+}
+
+// flipContext is a context that never fires on its own, but whose Err
+// turns Canceled after a fixed number of Err calls — an abort that
+// lands at a chosen point of an explanation, independent of timing.
+type flipContext struct {
+	context.Context
+	calls, after int
+}
+
+func (c *flipContext) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExplainStopsOnAbort: once the context fires after the initial
+// check, Explain returns the abort and the minimizer decides no further
+// subset — it consults the context once, before its first saturation,
+// and runs neither saturations nor checks after that.
+func TestExplainStopsOnAbort(t *testing.T) {
+	for _, p := range []struct{ dtd, keys string }{
+		{"geography", "geography"},
+		{"school", "school-extended"},
+	} {
+		t.Run(p.keys, func(t *testing.T) {
+			d, set := loadTestdataSpec(t, p.dtd, p.keys)
+			// Count the initial check's own Err calls.
+			probe := &flipContext{Context: context.Background(), after: math.MaxInt}
+			if _, err := Check(d, set, Options{Ctx: probe, SkipWitness: true, Explain: true}); err != nil {
+				t.Fatal(err)
+			}
+			ctx := &flipContext{Context: context.Background(), after: probe.calls}
+			_, err := Explain(d, set, Options{Ctx: ctx})
+			if !Aborted(err) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("Explain after the context fired returned %v, want a canceled abort", err)
+			}
+			if extra := ctx.calls - probe.calls; extra != 1 {
+				t.Errorf("minimizer consulted the context %d times after the initial check, want 1", extra)
+			}
+
+			// White box: a minimizer whose context is already dead
+			// decides nothing at all.
+			dead := &flipContext{Context: context.Background()}
+			m := newMinimizer(d, set, Options{Ctx: dead})
+			core := m.shrink(allIndices(set))
+			m.hints(core)
+			if !Aborted(m.err) {
+				t.Fatalf("minimizer error %v, want an abort", m.err)
+			}
+			if m.checks != 0 || len(m.decided) != 0 || dead.calls != 1 {
+				t.Errorf("aborted minimizer kept working: %d checks, %d memoized subsets, %d context polls",
+					m.checks, len(m.decided), dead.calls)
+			}
+		})
 	}
 }

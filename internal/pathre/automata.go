@@ -1,9 +1,9 @@
 package pathre
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // NFA is a Thompson automaton for a path expression. Transitions carry
@@ -171,6 +171,14 @@ func (d *DFA) Match(path []string) bool {
 // Determinize builds a complete DFA from the NFA over the given
 // alphabet via subset construction. Symbols of the NFA outside the
 // alphabet are unreachable in any matched path and are ignored.
+//
+// DFA states are numbered in breadth-first discovery order (state q's
+// successors in column order). A state set is keyed by its bitset over
+// NFA states, and ε-closures mark visited states with a per-closure
+// generation number, so a step allocates nothing unless it discovers a
+// new state. Columns no NFA state names concretely all move on the
+// wildcard edges alone, so their shared successor is computed once per
+// DFA state.
 func Determinize(n *NFA, alphabet []string) *DFA {
 	alpha := append([]string(nil), alphabet...)
 	sort.Strings(alpha)
@@ -178,45 +186,169 @@ func Determinize(n *NFA, alphabet []string) *DFA {
 	for i, a := range alpha {
 		d.Index[a] = i
 	}
-	key := func(set []int) string {
-		var b strings.Builder
-		for _, s := range set {
-			fmt.Fprintf(&b, "%d,", s)
-		}
-		return b.String()
-	}
-	start := n.closure([]int{n.Start})
-	ids := map[string]int{key(start): 0}
-	sets := [][]int{start}
-	d.Accept = []bool{containsInt(start, n.Accept)}
-	d.Trans = make([]int, len(alpha))
-	for q := 0; q < len(sets); q++ {
-		set := sets[q]
-		for ci, sym := range alpha {
-			var next []int
-			for _, s := range set {
-				next = append(next, n.Trans[s][sym]...)
-				next = append(next, n.WildTrans[s]...)
+	cols := len(alpha)
+	b := newDeterminizer(n, alpha)
+	d.Accept = []bool{b.closure(n.Start, -1)}
+	b.intern()
+	d.Trans = make([]int, cols)
+	for q := 0; q < b.numSets(); q++ {
+		b.gather(q)
+		shared := -1 // successor on the columns no NFA state names
+		for ci := 0; ci < cols; ci++ {
+			named := b.named[ci]
+			if !named && shared >= 0 {
+				d.Trans[q*cols+ci] = shared
+				continue
 			}
-			next = n.closure(next)
-			k := key(next)
-			id, ok := ids[k]
-			if !ok {
-				id = len(sets)
-				ids[k] = id
-				sets = append(sets, next)
-				d.Accept = append(d.Accept, containsInt(next, n.Accept))
-				d.Trans = append(d.Trans, make([]int, len(alpha))...)
+			col := -1
+			if named {
+				col = ci
 			}
-			d.Trans[q*len(alpha)+ci] = id
+			accept := b.closure(-1, col)
+			id, fresh := b.intern()
+			if fresh {
+				d.Accept = append(d.Accept, accept)
+				d.Trans = append(d.Trans, make([]int, cols)...)
+			}
+			if !named {
+				shared = id
+			}
+			d.Trans[q*cols+ci] = id
 		}
 	}
 	return d
 }
 
-func containsInt(sorted []int, x int) bool {
-	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
+// determinizer holds the reusable scratch state of one subset
+// construction.
+type determinizer struct {
+	n *NFA
+	// edges[s] lists state s's concrete transitions as (column,
+	// successors) pairs over the sorted alphabet.
+	edges [][]colEdge
+	// named[c] reports that some NFA state has a concrete transition on
+	// column c's symbol.
+	named []bool
+
+	// members[spans[i][0]:spans[i][1]] are the NFA states of DFA state
+	// i; ids maps a state set's bitset to its DFA state.
+	members []int32
+	spans   [][2]int32
+	ids     map[string]int
+
+	// Per-DFA-state seed lists: the wildcard successors and, per named
+	// column, the concrete successors of the state's members.
+	wild  []int32
+	seeds [][]int32
+
+	mark  []uint32 // mark[s] == gen: s is in the current closure
+	gen   uint32
+	stack []int32
+	cur   []int32 // the current closure's members
+	key   []byte  // the current closure's bitset
+}
+
+type colEdge struct {
+	col int32
+	to  []int
+}
+
+func newDeterminizer(n *NFA, alpha []string) *determinizer {
+	states := len(n.Trans)
+	b := &determinizer{
+		n:     n,
+		edges: make([][]colEdge, states),
+		named: make([]bool, len(alpha)),
+		ids:   map[string]int{},
+		seeds: make([][]int32, len(alpha)),
+		mark:  make([]uint32, states),
+		key:   make([]byte, (states+7)/8),
+	}
+	for s, trans := range n.Trans {
+		for sym, to := range trans {
+			for ci := sort.SearchStrings(alpha, sym); ci < len(alpha) && alpha[ci] == sym; ci++ {
+				b.edges[s] = append(b.edges[s], colEdge{col: int32(ci), to: to})
+				b.named[ci] = true
+			}
+		}
+	}
+	return b
+}
+
+func (b *determinizer) numSets() int { return len(b.spans) }
+
+// gather collects DFA state q's wildcard successors and the concrete
+// successors of every named column.
+func (b *determinizer) gather(q int) {
+	b.wild = b.wild[:0]
+	for ci := range b.seeds {
+		b.seeds[ci] = b.seeds[ci][:0]
+	}
+	span := b.spans[q]
+	for _, s := range b.members[span[0]:span[1]] {
+		for _, t := range b.n.WildTrans[s] {
+			b.wild = append(b.wild, int32(t))
+		}
+		for _, e := range b.edges[s] {
+			for _, t := range e.to {
+				b.seeds[e.col] = append(b.seeds[e.col], int32(t))
+			}
+		}
+	}
+}
+
+// closure computes the ε-closure of either the single state from (when
+// non-negative) or the gathered seeds of column col plus the gathered
+// wildcard successors (col < 0: wildcard successors alone). It leaves
+// the members in cur and the bitset in key, and reports whether the
+// closure holds the NFA's accept state.
+func (b *determinizer) closure(from, col int) bool {
+	b.gen++
+	b.cur = b.cur[:0]
+	clear(b.key)
+	b.stack = b.stack[:0]
+	push := func(s int32) {
+		if b.mark[s] != b.gen {
+			b.mark[s] = b.gen
+			b.stack = append(b.stack, s)
+		}
+	}
+	if from >= 0 {
+		push(int32(from))
+	} else {
+		if col >= 0 {
+			for _, s := range b.seeds[col] {
+				push(s)
+			}
+		}
+		for _, s := range b.wild {
+			push(s)
+		}
+	}
+	for len(b.stack) > 0 {
+		s := b.stack[len(b.stack)-1]
+		b.stack = b.stack[:len(b.stack)-1]
+		b.cur = append(b.cur, s)
+		b.key[s>>3] |= 1 << (s & 7)
+		for _, t := range b.n.EpsTrans[s] {
+			push(int32(t))
+		}
+	}
+	return b.mark[b.n.Accept] == b.gen
+}
+
+// intern returns the DFA state id of the current closure, recording it
+// as a new state when unseen.
+func (b *determinizer) intern() (int, bool) {
+	if id, ok := b.ids[string(b.key)]; ok {
+		return id, false
+	}
+	id := len(b.spans)
+	b.ids[string(b.key)] = id
+	lo := int32(len(b.members))
+	b.members = append(b.members, b.cur...)
+	b.spans = append(b.spans, [2]int32{lo, int32(len(b.members))})
+	return id, true
 }
 
 // CompileDFA compiles the expression directly to a complete DFA over
@@ -297,30 +429,31 @@ func NewProduct(dfas []*DFA) *Product {
 		}
 	}
 	p := &Product{DFAs: dfas, Alphabet: alpha}
-	key := func(tuple []int) string {
-		var b strings.Builder
-		for _, s := range tuple {
-			fmt.Fprintf(&b, "%d,", s)
+	// A tuple is keyed by its states packed as 4-byte integers, so a
+	// step allocates only when it discovers a new product state.
+	key := make([]byte, 4*len(dfas))
+	pack := func(tuple []int) []byte {
+		for i, s := range tuple {
+			binary.LittleEndian.PutUint32(key[4*i:], uint32(s))
 		}
-		return b.String()
+		return key
 	}
 	start := make([]int, len(dfas))
-	ids := map[string]int{key(start): 0}
+	ids := map[string]int{string(pack(start)): 0}
 	p.tuples = [][]int{start}
 	p.Trans = make([]int, len(alpha))
+	next := make([]int, len(dfas))
 	for q := 0; q < len(p.tuples); q++ {
 		tuple := p.tuples[q]
 		for ci := range alpha {
-			next := make([]int, len(dfas))
 			for i, d := range dfas {
 				next[i] = d.Trans[tuple[i]*len(alpha)+ci]
 			}
-			k := key(next)
-			id, ok := ids[k]
+			id, ok := ids[string(pack(next))]
 			if !ok {
 				id = len(p.tuples)
-				ids[k] = id
-				p.tuples = append(p.tuples, next)
+				ids[string(key)] = id
+				p.tuples = append(p.tuples, append([]int(nil), next...))
 				p.Trans = append(p.Trans, make([]int, len(alpha))...)
 			}
 			p.Trans[q*len(alpha)+ci] = id

@@ -3,9 +3,138 @@ package prover
 import (
 	"math"
 
+	"repro/internal/cardinality"
+	"repro/internal/constraint"
 	"repro/internal/contentmodel"
 	"repro/internal/dtd"
+	"repro/internal/pathre"
 )
+
+// Analysis holds the DTD-only folds the saturation engine consults —
+// count bounds, the occurrence and parent tables, the pairwise
+// difference folds, reachability, and region automata — computed on
+// first use and shared by every saturation run over the same DTD. A
+// caller saturating many constraint sets over one DTD (the unsat-core
+// minimizer re-saturates a subset per candidate) builds one Analysis
+// and pays for each fold once.
+//
+// An Analysis is not safe for concurrent use: its memos fill in as
+// runs consult them.
+type Analysis struct {
+	d         *dtd.DTD
+	recursive bool
+
+	counter   *cardinality.Counter
+	occ       map[[2]string]occRange
+	parentsOf map[string][]string
+	diff      map[[2]string]map[string]int
+	reach     map[string]map[string]bool
+	// dfas and forced are keyed by a region's node language: its
+	// rendered path and its type.
+	dfas     map[[2]string]*pathre.DFA
+	forced   map[[2]string]bool
+	fragment int8 // 0 unknown, 1 the DTD is in the fragment, -1 not
+}
+
+// Analyze prepares the DTD-only analysis of d. It computes nothing up
+// front; each fold is built when a saturation first needs it.
+func Analyze(d *dtd.DTD) *Analysis {
+	return &Analysis{
+		d:         d,
+		recursive: d.IsRecursive(),
+		diff:      map[[2]string]map[string]int{},
+		reach:     map[string]map[string]bool{},
+		dfas:      map[[2]string]*pathre.DFA{},
+		forced:    map[[2]string]bool{},
+	}
+}
+
+// countBounds returns the memoizing count-bounds folder.
+func (a *Analysis) countBounds() *cardinality.Counter {
+	if a.counter == nil {
+		a.counter = cardinality.NewCounter(a.d)
+	}
+	return a.counter
+}
+
+// occTables returns the occurrence structure of the occ-div/occ-sum
+// rules: the occurrence interval of every (parent, child) pair, and
+// each type's referencing parents in d.Names order.
+func (a *Analysis) occTables() (map[[2]string]occRange, map[string][]string) {
+	if a.occ == nil {
+		a.occ = map[[2]string]occRange{}
+		a.parentsOf = map[string][]string{}
+		for _, sigma := range a.d.Names {
+			for tau, o := range occRanges(a.d.Element(sigma).Content) {
+				a.occ[[2]string{sigma, tau}] = o
+			}
+		}
+		for _, tau := range a.d.Names {
+			for _, sigma := range a.d.Names {
+				if a.occ[[2]string{sigma, tau}].Hi > 0 {
+					a.parentsOf[tau] = append(a.parentsOf[tau], sigma)
+				}
+			}
+		}
+	}
+	return a.occ, a.parentsOf
+}
+
+// minDiff returns the memoized difference fold of (σ, τ).
+func (a *Analysis) minDiff(sigma, tau string) map[string]int {
+	key := [2]string{sigma, tau}
+	md, ok := a.diff[key]
+	if !ok {
+		md = minDiff(a.d, sigma, tau)
+		a.diff[key] = md
+	}
+	return md
+}
+
+// reachableAvoiding returns the memoized reachableAvoiding(d, p).
+func (a *Analysis) reachableAvoiding(p string) map[string]bool {
+	reach, ok := a.reach[p]
+	if !ok {
+		reach = reachableAvoiding(a.d, p)
+		a.reach[p] = reach
+	}
+	return reach
+}
+
+// nodeDFA returns the DFA of the unary target t's node language over
+// the DTD's element types; r is t's region.
+func (a *Analysis) nodeDFA(t constraint.Target, r Region) *pathre.DFA {
+	key := [2]string{r.Path, r.Type}
+	dfa, ok := a.dfas[key]
+	if !ok {
+		dfa = pathre.CompileDFA(nodeExprOf(t), a.d.Names)
+		a.dfas[key] = dfa
+	}
+	return dfa
+}
+
+// forcedNonEmpty returns the memoized forcedNonEmpty(d, dfa) of region
+// r, whose node-language DFA is dfa.
+func (a *Analysis) forcedNonEmpty(r Region, dfa *pathre.DFA) bool {
+	key := [2]string{r.Path, r.Type}
+	v, ok := a.forced[key]
+	if !ok {
+		v = forcedNonEmpty(a.d, dfa)
+		a.forced[key] = v
+	}
+	return v
+}
+
+// inFragment reports the DTD half of InFragment.
+func (a *Analysis) inFragment() bool {
+	if a.fragment == 0 {
+		a.fragment = -1
+		if dtdInFragment(a.d) {
+			a.fragment = 1
+		}
+	}
+	return a.fragment > 0
+}
 
 // negInf is the -∞ sentinel of the difference analysis: "the difference
 // can be made arbitrarily negative". Small enough that saturated

@@ -21,6 +21,7 @@ package prover_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/consistency"
@@ -132,6 +133,36 @@ func TestDifferentialRefutationSound(t *testing.T) {
 	}
 	t.Logf("%d valid specs, %d prover refutations, %d confirmed inconsistent, rest undecided",
 		valid, refuted, confirmed)
+}
+
+// TestDifferentialAnalysisReuse: on random specs, one shared Analysis
+// saturating every well-formed constraint subset matches a fresh
+// Saturate per subset — the minimizer's reuse pattern, over DTD shapes
+// (recursion, choices, text) the fixed fixtures do not cover.
+func TestDifferentialAnalysisReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	runs := 0
+	for i := 0; i < specCount(t)/2; i++ {
+		d, set, ok := randomSpec(rng)
+		if !ok {
+			continue
+		}
+		a := prover.Analyze(d)
+		for mask := uint64(0); mask < 1<<prover.ConstraintCount(set); mask++ {
+			sub := prover.SubsetOf(d, set, mask)
+			if sub == nil {
+				continue
+			}
+			runs++
+			if got, want := a.Saturate(sub), prover.Saturate(d, sub); !reflect.DeepEqual(got, want) {
+				t.Fatalf("spec %d, subset %b: shared-Analysis outcome differs:\n got %+v\nwant %+v\nDTD:\n%s\nΣ:\n%s",
+					i, mask, got, want, d, sub)
+			}
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no well-formed subsets drawn")
+	}
 }
 
 // fragmentSpec draws a spec inside the prover's completeness fragment:

@@ -22,7 +22,12 @@ import (
 // The differential harness uses this predicate to select the specs on
 // which prover-consistent must imply Check-consistent.
 func InFragment(d *dtd.DTD, set *constraint.Set) bool {
-	if d == nil || set == nil || d.Validate() != nil || d.IsRecursive() {
+	return set != nil && dtdInFragment(d) && setInFragment(set)
+}
+
+// dtdInFragment is InFragment's condition on the DTD alone.
+func dtdInFragment(d *dtd.DTD) bool {
+	if d == nil || d.Validate() != nil || d.IsRecursive() {
 		return false
 	}
 	// One occurrence record per type across the whole DTD.
@@ -51,6 +56,11 @@ func InFragment(d *dtd.DTD, set *constraint.Set) bool {
 			return false
 		}
 	}
+	return true
+}
+
+// setInFragment is InFragment's condition on the constraint set alone.
+func setInFragment(set *constraint.Set) bool {
 	for _, k := range set.Keys {
 		if k.Context != "" || k.Target.Path != nil || !k.Target.Unary() {
 			return false

@@ -242,27 +242,7 @@ func TestInFragment(t *testing.T) {
 // fragment: r → (a, b, b) forces count(b) = 2 and count(a) = 1, and a
 // keyed foreign key b.y ⊆ a.x forces count(b) ≤ count(a).
 func TestFragmentRefutation(t *testing.T) {
-	d := dtd.New("r")
-	d.Define("r", contentmodel.NewSeq(
-		contentmodel.Ref("a"),
-		contentmodel.Ref("b"),
-		contentmodel.Ref("b"),
-	))
-	d.Define("a", contentmodel.Eps(), "x")
-	d.Define("b", contentmodel.Eps(), "y")
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	set := &constraint.Set{}
-	set.AddKey(constraint.Key{Target: constraint.Target{Type: "a", Attrs: []string{"x"}}})
-	set.AddKey(constraint.Key{Target: constraint.Target{Type: "b", Attrs: []string{"y"}}})
-	set.AddForeignKey(constraint.Inclusion{
-		From: constraint.Target{Type: "b", Attrs: []string{"y"}},
-		To:   constraint.Target{Type: "a", Attrs: []string{"x"}},
-	})
-	if err := set.Validate(d); err != nil {
-		t.Fatal(err)
-	}
+	d, set := fragmentRefutationSpec(t)
 	if !InFragment(d, set) {
 		t.Fatal("expected the spec to be in the documented fragment")
 	}
@@ -294,6 +274,26 @@ func TestFragmentRefutation(t *testing.T) {
 // instead of spinning, and must report the exhaustion so callers do not
 // read the non-refutation as a fragment consistency proof.
 func TestSaturateBudget(t *testing.T) {
+	d, set := budgetSpec(t, "*")
+	start := time.Now()
+	out := Saturate(d, set)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("budgeted saturation took %s", elapsed)
+	}
+	if !out.Exhausted {
+		t.Fatalf("wide spec saturated to fixpoint (facts=%d); expected the work budget to trip", out.Facts)
+	}
+	if out.Refuted {
+		t.Fatalf("consistent wide spec refuted")
+	}
+}
+
+// budgetSpec is a consistent specification wide enough to exhaust the
+// work budget: a root with 200 child types, each keyed, and each
+// occurring with the given multiplicity suffix ("*", or "" for exactly
+// once).
+func budgetSpec(t *testing.T, mult string) (*dtd.DTD, *constraint.Set) {
+	t.Helper()
 	var src strings.Builder
 	src.WriteString("<!ELEMENT root (")
 	const n = 200
@@ -301,7 +301,7 @@ func TestSaturateBudget(t *testing.T) {
 		if i > 0 {
 			src.WriteString(", ")
 		}
-		fmt.Fprintf(&src, "t%d*", i)
+		fmt.Fprintf(&src, "t%d%s", i, mult)
 	}
 	src.WriteString(")>\n")
 	for i := 0; i < n; i++ {
@@ -317,15 +317,34 @@ func TestSaturateBudget(t *testing.T) {
 	if err := set.Validate(d); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	out := Saturate(d, set)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("budgeted saturation took %s", elapsed)
+	return d, set
+}
+
+// fragmentRefutationSpec is the fragment contradiction of
+// TestFragmentRefutation: r → (a, b, b) with keys on a.x and b.y and
+// the foreign key b.y ⊆ a.x.
+func fragmentRefutationSpec(t *testing.T) (*dtd.DTD, *constraint.Set) {
+	t.Helper()
+	d := dtd.New("r")
+	d.Define("r", contentmodel.NewSeq(
+		contentmodel.Ref("a"),
+		contentmodel.Ref("b"),
+		contentmodel.Ref("b"),
+	))
+	d.Define("a", contentmodel.Eps(), "x")
+	d.Define("b", contentmodel.Eps(), "y")
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if !out.Exhausted {
-		t.Fatalf("wide spec saturated to fixpoint (facts=%d); expected the work budget to trip", out.Facts)
+	set := &constraint.Set{}
+	set.AddKey(constraint.Key{Target: constraint.Target{Type: "a", Attrs: []string{"x"}}})
+	set.AddKey(constraint.Key{Target: constraint.Target{Type: "b", Attrs: []string{"y"}}})
+	set.AddForeignKey(constraint.Inclusion{
+		From: constraint.Target{Type: "b", Attrs: []string{"y"}},
+		To:   constraint.Target{Type: "a", Attrs: []string{"x"}},
+	})
+	if err := set.Validate(d); err != nil {
+		t.Fatal(err)
 	}
-	if out.Refuted {
-		t.Fatalf("consistent wide spec refuted")
-	}
+	return d, set
 }

@@ -51,12 +51,25 @@ type Outcome struct {
 // lattice's round bound is hit. The spec must already be validated
 // (d.Validate and set.Validate(d) both nil); Saturate never refutes
 // specs it cannot soundly reason about — unknown shapes contribute no
-// facts.
+// facts. It is Analyze(d).Saturate(set); callers saturating several
+// constraint sets over one DTD should share the Analysis.
 func Saturate(d *dtd.DTD, set *constraint.Set) Outcome {
-	e := newEngine(d, set)
+	return Analyze(d).Saturate(set)
+}
+
+// Saturate runs one saturation of set over the analyzed DTD. The
+// outcome is exactly Saturate(d, set)'s: every run charges the work
+// budget for the DTD folds it uses as if it had computed them itself,
+// so reuse changes neither Exhausted nor the facts nor the derivation.
+func (a *Analysis) Saturate(set *constraint.Set) Outcome {
+	e := newEngine(a, set)
 	e.seed()
 	e.run()
-	out := Outcome{Facts: len(e.facts), Fragment: InFragment(d, set), Exhausted: e.exhausted}
+	out := Outcome{
+		Facts:     len(e.facts),
+		Fragment:  set != nil && a.inFragment() && setInFragment(set),
+		Exhausted: e.exhausted,
+	}
 	if e.refutedID >= 0 {
 		out.Refuted = true
 		out.Derivation = e.extract()
@@ -73,6 +86,7 @@ type factRec struct {
 }
 
 type engine struct {
+	a         *Analysis
 	d         *dtd.DTD
 	set       *constraint.Set
 	recursive bool
@@ -104,13 +118,13 @@ type engine struct {
 	candidates []Region
 	dfas       map[Region]*pathre.DFA
 
-	diffMemo  map[[2]string]map[string]int
-	reachMemo map[string]map[string]bool
+	// gapPaid records the (σ, τ) difference folds this run has charged
+	// for; the folds themselves live in the shared Analysis.
+	gapPaid map[[2]string]bool
 
-	// Occurrence structure for the occ-div/occ-sum rules: occ maps a
-	// (parent, child) pair to the child's occurrence interval in the
-	// parent's content model, parentsOf lists the referencing parents
-	// of each type in d.Names order.
+	// Occurrence structure for the occ-div/occ-sum rules: the
+	// Analysis tables, or none when the budget tripped before this run
+	// paid for them.
 	occ       map[[2]string]occRange
 	parentsOf map[string][]string
 
@@ -121,11 +135,12 @@ type engine struct {
 	exhausted bool
 }
 
-func newEngine(d *dtd.DTD, set *constraint.Set) *engine {
+func newEngine(a *Analysis, set *constraint.Set) *engine {
 	return &engine{
-		d:         d,
+		a:         a,
+		d:         a.d,
 		set:       set,
-		recursive: d.IsRecursive(),
+		recursive: a.recursive,
 		rel:       map[string][]string{},
 		relSet:    map[string]map[string]bool{},
 		lower:     map[Quantity]int{},
@@ -137,10 +152,7 @@ func newEngine(d *dtd.DTD, set *constraint.Set) *engine {
 		qSeen:     map[Quantity]bool{},
 		extOf:     map[Quantity]Quantity{},
 		dfas:      map[Region]*pathre.DFA{},
-		diffMemo:  map[[2]string]map[string]int{},
-		reachMemo: map[string]map[string]bool{},
-		occ:       map[[2]string]occRange{},
-		parentsOf: map[string][]string{},
+		gapPaid:   map[[2]string]bool{},
 		refutedID: -1,
 	}
 }
@@ -332,34 +344,19 @@ func (e *engine) seed() {
 	e.derive("root-count", Fact{Kind: FactUpper, Q1: rq, K: 1}, nil, nil)
 
 	// Occurrence structure for occ-div/occ-sum: one content-model walk
-	// per type. occ-sum is only sound over the COMPLETE parent list, so
-	// if the budget trips mid-build both tables are discarded — the
-	// rules then contribute nothing, which is sound.
-	for _, sigma := range d.Names {
-		if e.charge(len(d.Names)) {
-			e.occ = map[[2]string]occRange{}
-			e.parentsOf = map[string][]string{}
-			break
-		}
-		for tau, o := range occRanges(d.Element(sigma).Content) {
-			e.occ[[2]string{sigma, tau}] = o
-		}
-	}
-	if !e.exhausted {
-		for _, tau := range d.Names {
-			for _, sigma := range d.Names {
-				if e.occ[[2]string{sigma, tau}].Hi > 0 {
-					e.parentsOf[tau] = append(e.parentsOf[tau], sigma)
-				}
-			}
-		}
+	// per type, charged at len(d.Names) each. occ-sum is only sound over
+	// the COMPLETE parent list, so if the budget trips during the build
+	// the run uses no tables at all — the rules then contribute
+	// nothing, which is sound.
+	if !e.charge(len(d.Names) * len(d.Names)) {
+		e.occ, e.parentsOf = e.a.occTables()
 	}
 
 	// DTD cardinality facts need the count folds, which are only exact
 	// on non-recursive DTDs; recursive specs get no DTD facts (sound —
 	// the engine just proves less).
 	if !e.recursive {
-		counter := cardinality.NewCounter(d)
+		counter := e.a.countBounds()
 		for _, s := range e.scopes {
 			for _, tau := range e.rel[s] {
 				var b cardinality.Bounds
@@ -498,16 +495,15 @@ func (e *engine) keyScopes(k constraint.Key) []string {
 // "") or content forests (scope c) of the DTD, or negInf.
 func (e *engine) gap(scope, sigma, tau string) int {
 	key := [2]string{sigma, tau}
-	md, ok := e.diffMemo[key]
-	if !ok {
+	if !e.gapPaid[key] {
 		// A fresh pair costs one DTD-wide fold; charge accordingly so
 		// the budget reflects real effort, not loop iterations.
 		if e.charge(8 * len(e.d.Names)) {
 			return negInf
 		}
-		md = minDiff(e.d, sigma, tau)
-		e.diffMemo[key] = md
+		e.gapPaid[key] = true
 	}
+	md := e.a.minDiff(sigma, tau)
 	if scope == "" {
 		return md[e.d.Root]
 	}
@@ -533,15 +529,13 @@ func (e *engine) seedRegions() {
 	if !hasPaths {
 		return
 	}
-	alphabet := e.d.Names
-
 	candSeen := map[Region]bool{}
 	addCand := func(t constraint.Target) Region {
 		r := regionOf(t)
 		if !candSeen[r] {
 			candSeen[r] = true
 			e.candidates = append(e.candidates, r)
-			e.dfas[r] = pathre.CompileDFA(nodeExprOf(t), alphabet)
+			e.dfas[r] = e.a.nodeDFA(t, r)
 		}
 		return r
 	}
@@ -568,7 +562,7 @@ func (e *engine) seedRegions() {
 		if k.Context != "" || !k.Target.Unary() {
 			continue
 		}
-		kdfa := pathre.CompileDFA(nodeExprOf(k.Target), alphabet)
+		kdfa := e.a.nodeDFA(k.Target, regionOf(k.Target))
 		attr := k.Target.Attrs[0]
 		for i := 0; i < len(e.candidates); i++ {
 			r1 := e.candidates[i]
@@ -590,7 +584,7 @@ func (e *engine) seedRegions() {
 
 	// region-nonempty: a region every conforming document realizes.
 	for _, r := range e.candidates {
-		if forcedNonEmpty(e.d, e.dfas[r]) {
+		if e.a.forcedNonEmpty(r, e.dfas[r]) {
 			e.derive("region-nonempty", Fact{Kind: FactLower, Q1: r.quantity(), K: 1}, nil, nil)
 		}
 	}
@@ -872,11 +866,7 @@ func (e *engine) zeroDom() {
 		if !ok || e.facts[upID].f.K > 0 {
 			continue
 		}
-		reach, ok := e.reachMemo[q.Type]
-		if !ok {
-			reach = reachableAvoiding(e.d, q.Type)
-			e.reachMemo[q.Type] = reach
-		}
+		reach := e.a.reachableAvoiding(q.Type)
 		for _, t := range e.rel[""] {
 			if t != q.Type && !reach[t] {
 				e.derive("zero-dom", Fact{Kind: FactUpper, Q1: countQ(t, "")},

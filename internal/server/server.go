@@ -355,7 +355,9 @@ type ExplainResponse struct {
 	// Hints ranks drop/weaken repair candidates by cross-core membership.
 	Hints []xmlspec.RepairHint `json:"hints,omitempty"`
 	// Cores and Checks describe the minimization effort: distinct unsat
-	// cores enumerated, and consistency sub-decisions performed.
+	// cores enumerated, and decisions made by the full procedure — the
+	// whole spec plus each distinct constraint subset the prover did
+	// not refute (consistency.Explanation.Checks).
 	Cores       int                      `json:"cores"`
 	Checks      int                      `json:"checks"`
 	Certificate *certificate.Certificate `json:"certificate,omitempty"`
