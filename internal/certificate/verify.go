@@ -22,6 +22,18 @@ import (
 // the certificate independently establishes (or, for solver-backed
 // refutations, pins the exact system behind) its verdict.
 func Verify(d *dtd.DTD, set *constraint.Set, c *Certificate) error {
+	var specDigest string
+	if c != nil && c.SpecDigest != "" {
+		specDigest = digest.Spec(d, set)
+	}
+	return VerifyDigested(d, set, c, specDigest)
+}
+
+// VerifyDigested is Verify for a caller that already holds the spec's
+// digest.Spec(d, set), such as a memoized one: the certificate's stamp
+// is compared against specDigest instead of re-digesting the spec.
+// specDigest may be empty only for a certificate without a stamp.
+func VerifyDigested(d *dtd.DTD, set *constraint.Set, c *Certificate, specDigest string) error {
 	if c == nil {
 		return fmt.Errorf("certificate: nil certificate")
 	}
@@ -34,10 +46,8 @@ func Verify(d *dtd.DTD, set *constraint.Set, c *Certificate) error {
 	if err := set.Validate(d); err != nil {
 		return fmt.Errorf("certificate: invalid constraint set: %w", err)
 	}
-	if c.SpecDigest != "" {
-		if got := digest.Spec(d, set); got != c.SpecDigest {
-			return fmt.Errorf("certificate: stamped for spec %s but presented spec digests to %s", c.SpecDigest, got)
-		}
+	if c.SpecDigest != "" && specDigest != c.SpecDigest {
+		return fmt.Errorf("certificate: stamped for spec %s but presented spec digests to %s", c.SpecDigest, specDigest)
 	}
 	if c.Witness != nil {
 		return verifyWitness(d, set, c.Witness)

@@ -14,7 +14,6 @@
 package constraint
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -43,6 +42,11 @@ func (t Target) Unary() bool { return len(t.Attrs) == 1 }
 // String renders the target in the paper's notation.
 func (t Target) String() string {
 	var b strings.Builder
+	t.write(&b)
+	return b.String()
+}
+
+func (t Target) write(b *strings.Builder) {
 	if t.Path != nil {
 		b.WriteString(t.Path.String())
 		b.WriteByte('.')
@@ -51,12 +55,16 @@ func (t Target) String() string {
 	if len(t.Attrs) == 1 {
 		b.WriteByte('.')
 		b.WriteString(t.Attrs[0])
-	} else {
-		b.WriteByte('[')
-		b.WriteString(strings.Join(t.Attrs, ","))
-		b.WriteByte(']')
+		return
 	}
-	return b.String()
+	b.WriteByte('[')
+	for i, a := range t.Attrs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(a)
+	}
+	b.WriteByte(']')
 }
 
 // NodeString renders the target without its attributes (the right-hand
@@ -79,11 +87,36 @@ type Key struct {
 
 // String renders the key in the paper's notation.
 func (k Key) String() string {
-	body := fmt.Sprintf("%s -> %s", k.Target, k.Target.NodeString())
-	if k.Context != "" {
-		return fmt.Sprintf("%s(%s)", k.Context, body)
+	var b strings.Builder
+	k.write(&b)
+	return b.String()
+}
+
+func (k Key) write(b *strings.Builder) {
+	openContext(b, k.Context)
+	k.Target.write(b)
+	b.WriteString(" -> ")
+	if k.Target.Path != nil {
+		b.WriteString(k.Target.Path.String())
+		b.WriteByte('.')
 	}
-	return body
+	b.WriteString(k.Target.Type)
+	closeContext(b, k.Context)
+}
+
+// openContext and closeContext wrap a relative constraint's body in
+// its context type: ctx(body).
+func openContext(b *strings.Builder, ctx string) {
+	if ctx != "" {
+		b.WriteString(ctx)
+		b.WriteByte('(')
+	}
+}
+
+func closeContext(b *strings.Builder, ctx string) {
+	if ctx != "" {
+		b.WriteByte(')')
+	}
 }
 
 // Inclusion is an inclusion constraint From[X] ⊆ To[Y], optionally
@@ -96,11 +129,17 @@ type Inclusion struct {
 
 // String renders the inclusion in the paper's notation.
 func (c Inclusion) String() string {
-	body := fmt.Sprintf("%s ⊆ %s", c.From, c.To)
-	if c.Context != "" {
-		return fmt.Sprintf("%s(%s)", c.Context, body)
-	}
-	return body
+	var b strings.Builder
+	c.write(&b)
+	return b.String()
+}
+
+func (c Inclusion) write(b *strings.Builder) {
+	openContext(b, c.Context)
+	c.From.write(b)
+	b.WriteString(" ⊆ ")
+	c.To.write(b)
+	closeContext(b, c.Context)
 }
 
 // Set is a collection of constraints (a Σ).
@@ -125,11 +164,11 @@ func (s *Set) Size() int { return len(s.Keys) + len(s.Incls) }
 func (s *Set) String() string {
 	var b strings.Builder
 	for _, k := range s.Keys {
-		b.WriteString(k.String())
+		k.write(&b)
 		b.WriteByte('\n')
 	}
 	for _, c := range s.Incls {
-		b.WriteString(c.String())
+		c.write(&b)
 		b.WriteByte('\n')
 	}
 	return b.String()

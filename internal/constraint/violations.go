@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dtd"
 )
@@ -58,77 +59,110 @@ func (v WFViolation) Error() string { return "constraint: " + v.Message }
 // relative/regular constraints must be unary and unmixed, and every
 // inclusion needs the key on its right-hand side that makes it a
 // foreign key. Validate returns the first entry as an error.
+//
+// Nothing is rendered on the success path: a constraint's string is
+// formatted only once it has a violation to report.
 func (s *Set) WFViolations(d *dtd.DTD) []WFViolation {
-	var out []WFViolation
-	checkTarget := func(add func(code, format string, args ...any), t Target, what string) {
-		el := d.Element(t.Type)
-		if el == nil {
-			add(VioUndeclaredType, "%s refers to undeclared element type %q", what, t.Type)
-		}
-		if len(t.Attrs) == 0 {
-			add(VioEmptyAttrs, "%s has an empty attribute list", what)
-		}
-		seen := map[string]bool{}
-		for _, l := range t.Attrs {
-			if el != nil && !el.HasAttr(l) {
-				add(VioUndeclaredAttr, "%s uses attribute %q not in R(%s)", what, l, t.Type)
-			}
-			if seen[l] {
-				add(VioDuplicateAttr, "%s repeats attribute %q", what, l)
-			}
-			seen[l] = true
-		}
-		if t.Path != nil {
-			for _, sym := range t.Path.Symbols() {
-				if d.Element(sym) == nil {
-					add(VioUndeclaredType, "%s path mentions undeclared type %q", what, sym)
-				}
-			}
-		}
-	}
-	for i, k := range s.Keys {
-		add := func(code, format string, args ...any) {
-			out = append(out, WFViolation{
-				Code: code, Kind: "key", Index: i, Constraint: k.String(),
-				Message: fmt.Sprintf(format, args...),
-			})
-		}
-		checkTarget(add, k.Target, k.String())
+	w := wfChecker{d: d}
+	for i := range s.Keys {
+		k := &s.Keys[i]
+		w.start("key", i, k, nil)
+		w.checkTarget(k.Target)
 		if k.Context != "" && d.Element(k.Context) == nil {
-			add(VioUndeclaredType, "context type %q of %s not declared", k.Context, k)
+			w.add(VioUndeclaredType, "context type %q of %s not declared", k.Context, w.what())
 		}
 		if k.Context != "" && k.Target.Path != nil {
-			add(VioMixedAddressing, "%s mixes relative and regular addressing", k)
+			w.add(VioMixedAddressing, "%s mixes relative and regular addressing", w.what())
 		}
 		if (k.Context != "" || k.Target.Path != nil) && !k.Target.Unary() {
-			add(VioNonUnary, "%s: relative and regular constraints must be unary", k)
+			w.add(VioNonUnary, "%s: relative and regular constraints must be unary", w.what())
 		}
 	}
-	for i, c := range s.Incls {
-		add := func(code, format string, args ...any) {
-			out = append(out, WFViolation{
-				Code: code, Kind: "inclusion", Index: i, Constraint: c.String(),
-				Message: fmt.Sprintf(format, args...),
-			})
-		}
-		checkTarget(add, c.From, c.String())
-		checkTarget(add, c.To, c.String())
+	for i := range s.Incls {
+		c := &s.Incls[i]
+		w.start("inclusion", i, nil, c)
+		w.checkTarget(c.From)
+		w.checkTarget(c.To)
 		if len(c.From.Attrs) != len(c.To.Attrs) {
-			add(VioArityMismatch, "%s: attribute lists differ in length", c)
+			w.add(VioArityMismatch, "%s: attribute lists differ in length", w.what())
 		}
 		if c.Context != "" && d.Element(c.Context) == nil {
-			add(VioUndeclaredType, "context type %q of %s not declared", c.Context, c)
+			w.add(VioUndeclaredType, "context type %q of %s not declared", c.Context, w.what())
 		}
 		if c.Context != "" && (c.From.Path != nil || c.To.Path != nil) {
-			add(VioMixedAddressing, "%s mixes relative and regular addressing", c)
+			w.add(VioMixedAddressing, "%s mixes relative and regular addressing", w.what())
 		}
 		if (c.Context != "" || c.From.Path != nil || c.To.Path != nil) && !c.From.Unary() {
-			add(VioNonUnary, "%s: relative and regular constraints must be unary", c)
+			w.add(VioNonUnary, "%s: relative and regular constraints must be unary", w.what())
 		}
-		if !s.hasKeyFor(c) {
-			add(VioMissingKey, "inclusion %s lacks the key %s -> %s that makes it a foreign key",
-				c, c.To, c.To.NodeString())
+		if !s.hasKeyFor(*c) {
+			w.add(VioMissingKey, "inclusion %s lacks the key %s -> %s that makes it a foreign key",
+				w.what(), c.To, c.To.NodeString())
 		}
 	}
-	return out
+	return w.out
+}
+
+// wfChecker accumulates the violations of one WFViolations pass. It
+// renders the constraint under inspection lazily, at most once, and
+// only when a violation needs the text.
+type wfChecker struct {
+	d     *dtd.DTD
+	out   []WFViolation
+	kind  string
+	index int
+	// key or incl is the constraint under inspection; text caches its
+	// rendering.
+	key  *Key
+	incl *Inclusion
+	text string
+}
+
+// start moves the checker to the next constraint.
+func (w *wfChecker) start(kind string, index int, key *Key, incl *Inclusion) {
+	w.kind, w.index, w.key, w.incl, w.text = kind, index, key, incl, ""
+}
+
+// what returns the current constraint's rendering.
+func (w *wfChecker) what() string {
+	if w.text == "" {
+		if w.key != nil {
+			w.text = w.key.String()
+		} else {
+			w.text = w.incl.String()
+		}
+	}
+	return w.text
+}
+
+func (w *wfChecker) add(code, format string, args ...any) {
+	w.out = append(w.out, WFViolation{
+		Code: code, Kind: w.kind, Index: w.index, Constraint: w.what(),
+		Message: fmt.Sprintf(format, args...),
+	})
+}
+
+func (w *wfChecker) checkTarget(t Target) {
+	el := w.d.Element(t.Type)
+	if el == nil {
+		w.add(VioUndeclaredType, "%s refers to undeclared element type %q", w.what(), t.Type)
+	}
+	if len(t.Attrs) == 0 {
+		w.add(VioEmptyAttrs, "%s has an empty attribute list", w.what())
+	}
+	for i, l := range t.Attrs {
+		if el != nil && !el.HasAttr(l) {
+			w.add(VioUndeclaredAttr, "%s uses attribute %q not in R(%s)", w.what(), l, t.Type)
+		}
+		if slices.Contains(t.Attrs[:i], l) {
+			w.add(VioDuplicateAttr, "%s repeats attribute %q", w.what(), l)
+		}
+	}
+	if t.Path != nil {
+		for _, sym := range t.Path.Symbols() {
+			if w.d.Element(sym) == nil {
+				w.add(VioUndeclaredType, "%s path mentions undeclared type %q", w.what(), sym)
+			}
+		}
+	}
 }

@@ -21,9 +21,6 @@
 package digest
 
 import (
-	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
 	"strings"
 
@@ -37,37 +34,80 @@ import (
 // differ in any declaration, attribute, root, or constraint (up to
 // 64-bit hash collision).
 func Spec(d *dtd.DTD, set *constraint.Set) string {
-	h := fnv.New64a()
+	var h uint64 = fnvOffset64
 	for _, line := range canonicalLines(d, set) {
-		io.WriteString(h, line)
-		io.WriteString(h, "\n")
+		for i := 0; i < len(line); i++ {
+			h = (h ^ uint64(line[i])) * fnvPrime64
+		}
+		h = (h ^ '\n') * fnvPrime64
 	}
-	return fmt.Sprintf("spec-%016x", h.Sum64())
+	const digits = "0123456789abcdef"
+	out := make([]byte, 0, len("spec-")+16)
+	out = append(out, "spec-"...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		out = append(out, digits[(h>>uint(shift))&0xf])
+	}
+	return string(out)
 }
+
+// FNV-1a (64-bit) parameters, as in hash/fnv; hashing inline spares
+// the hash.Hash allocation.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // canonicalLines renders the specification as sorted self-describing
 // lines. Each line carries a category prefix so lines from different
-// sections can never collide after sorting.
+// sections can never collide after sorting. The lines are rendered
+// into one buffer and sliced out of a single string.
 func canonicalLines(d *dtd.DTD, set *constraint.Set) []string {
-	var lines []string
-	lines = append(lines, "root "+d.Root)
+	var buf []byte
+	var ends []int
+	line := func() { ends = append(ends, len(buf)) }
+	buf = append(buf, "root "...)
+	buf = append(buf, d.Root...)
+	line()
 	for _, name := range d.Names {
 		e := d.Element(name)
-		cm := ""
+		buf = append(buf, "element "...)
+		buf = append(buf, name...)
+		buf = append(buf, ' ')
 		if e.Content != nil {
-			cm = e.Content.String()
+			buf = append(buf, e.Content.String()...)
 		}
-		lines = append(lines, "element "+name+" "+cm)
+		line()
 		// Attrs are sorted and de-duplicated by dtd.Define, so one line
 		// per attribute is already canonical.
 		for _, a := range e.Attrs {
-			lines = append(lines, "attr "+name+" "+a)
+			buf = append(buf, "attr "...)
+			buf = append(buf, name...)
+			buf = append(buf, ' ')
+			buf = append(buf, a...)
+			line()
 		}
 	}
-	for _, ln := range strings.Split(set.String(), "\n") {
-		if ln = strings.TrimSpace(ln); ln != "" {
-			lines = append(lines, "constraint "+ln)
+	// Set.String renders one constraint per line; each goes straight
+	// into buf.
+	for rest := set.String(); rest != ""; {
+		ln := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			ln, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
 		}
+		if ln = strings.TrimSpace(ln); ln != "" {
+			buf = append(buf, "constraint "...)
+			buf = append(buf, ln...)
+			line()
+		}
+	}
+	text := string(buf)
+	lines := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		lines[i] = text[start:end]
+		start = end
 	}
 	sort.Strings(lines)
 	return lines

@@ -114,7 +114,9 @@ func (d *DTD) Clone() *DTD {
 // Validate checks the well-formedness conditions of Definition 2.1:
 // the root is defined, every referenced element type is defined, the
 // root type does not occur in any content model, and every non-root
-// type is connected to the root. It returns the first violation found.
+// type is connected to the root. It returns the first violation found;
+// within one content model, the offending reference reported is the
+// least in sorted order.
 func (d *DTD) Validate() error {
 	if _, ok := d.Elements[d.Root]; !ok {
 		return fmt.Errorf("dtd: root type %q is not defined", d.Root)
@@ -124,13 +126,11 @@ func (d *DTD) Validate() error {
 		if e.Content == nil {
 			return fmt.Errorf("dtd: element type %q has no content model", name)
 		}
-		for _, ref := range e.Content.Alphabet() {
-			if _, ok := d.Elements[ref]; !ok {
-				return fmt.Errorf("dtd: element type %q references undefined type %q", name, ref)
-			}
+		if ref, bad := d.leastBadRef(e.Content, "", false); bad {
 			if ref == d.Root {
 				return fmt.Errorf("dtd: root type %q occurs in the content model of %q", d.Root, name)
 			}
+			return fmt.Errorf("dtd: element type %q references undefined type %q", name, ref)
 		}
 	}
 	reach := d.Reachable()
@@ -142,24 +142,67 @@ func (d *DTD) Validate() error {
 	return nil
 }
 
+// leastBadRef folds over the references of e and returns the least one
+// (in string order) that is undefined or names the root, starting from
+// the incumbent (least, found). Walking the expression directly keeps
+// validation free of the sorted Alphabet slice.
+func (d *DTD) leastBadRef(e *contentmodel.Expr, least string, found bool) (string, bool) {
+	if e.Kind == contentmodel.Name {
+		if _, ok := d.Elements[e.Ref]; (!ok || e.Ref == d.Root) && (!found || e.Ref < least) {
+			return e.Ref, true
+		}
+		return least, found
+	}
+	for _, k := range e.Kids {
+		least, found = d.leastBadRef(k, least, found)
+	}
+	return least, found
+}
+
 // Reachable returns the set of element types reachable from the root
 // through content models (the root included).
 func (d *DTD) Reachable() map[string]bool {
-	seen := map[string]bool{}
-	var walk func(string)
-	walk = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		if e := d.Elements[name]; e != nil && e.Content != nil {
-			for _, ref := range e.Content.Alphabet() {
-				walk(ref)
-			}
-		}
+	r := reacher{d: d, seen: map[string]bool{d.Root: true}}
+	r.from(d.Root)
+	return r.seen
+}
+
+// Below returns the set of element types strictly below name: every
+// type reachable from it through a path of length ≥ 1 in D. name
+// itself belongs to the set only when it lies on a cycle, which cannot
+// happen in non-recursive DTDs. References to undefined types are
+// included but not expanded.
+func (d *DTD) Below(name string) map[string]bool {
+	r := reacher{d: d, seen: map[string]bool{}}
+	r.from(name)
+	return r.seen
+}
+
+// reacher is the one reachability walk behind Reachable and Below: a
+// DFS over content-model expressions (not Alphabet slices) that marks
+// every referenced type in seen and expands each type once.
+type reacher struct {
+	d    *DTD
+	seen map[string]bool
+}
+
+func (r *reacher) from(name string) {
+	if e := r.d.Elements[name]; e != nil && e.Content != nil {
+		r.expr(e.Content)
 	}
-	walk(d.Root)
-	return seen
+}
+
+func (r *reacher) expr(e *contentmodel.Expr) {
+	if e.Kind == contentmodel.Name {
+		if !r.seen[e.Ref] {
+			r.seen[e.Ref] = true
+			r.from(e.Ref)
+		}
+		return
+	}
+	for _, k := range e.Kids {
+		r.expr(k)
+	}
 }
 
 // children returns the sorted alphabet of P(τ) for a defined type.
@@ -361,28 +404,4 @@ func (d *DTD) PathCount(limit int) int {
 		panic("dtd: PathCount of a recursive DTD")
 	}
 	return count(d.Root)
-}
-
-// HasPath reports whether there is a path in D from type a to type b,
-// i.e. whether b is reachable from a through content models (a path of
-// length ≥ 1; HasPath(x, x) is true only on a cycle through x, which
-// cannot happen in non-recursive DTDs).
-func (d *DTD) HasPath(a, b string) bool {
-	seen := map[string]bool{}
-	var walk func(string) bool
-	walk = func(name string) bool {
-		for _, ref := range d.children(name) {
-			if ref == b {
-				return true
-			}
-			if !seen[ref] {
-				seen[ref] = true
-				if walk(ref) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(a)
 }

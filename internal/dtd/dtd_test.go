@@ -167,8 +167,8 @@ func TestDepthAndPaths(t *testing.T) {
 	if got := d.PathCount(3); got != 3 {
 		t.Errorf("PathCount(limit 3) = %d, want 3", got)
 	}
-	if !d.HasPath("db", "city") || d.HasPath("city", "db") || d.HasPath("capital", "city") {
-		t.Error("HasPath misreports")
+	if !d.Below("db")["city"] || d.Below("city")["db"] || d.Below("capital")["city"] {
+		t.Error("Below misreports")
 	}
 }
 

@@ -117,11 +117,11 @@ func TestFastPathPointDifferential(t *testing.T) {
 			}
 			rows = append(rows, lpRow{terms: terms, rel: Rel(rng.Intn(3)), k: int64(rng.Intn(40) - 8)})
 		}
-		okF, ptF, completed := ft.lpFeasibleFast(n, rows, lo, hi, nil)
+		okF, ptF, completed := ft.lpFeasibleFast(n, rows, lo, hi, nil, nil)
 		if !completed {
 			t.Fatalf("trial %d: small LP overflowed the fast path", trial)
 		}
-		okR, ptR := lpFeasible(n, rows, lo, hi, nil)
+		okR, ptR := lpFeasible(n, rows, lo, hi, nil, nil)
 		if okF != okR {
 			t.Fatalf("trial %d: fast=%v exact=%v", trial, okF, okR)
 		}
@@ -148,7 +148,7 @@ func TestFastPathOverflowFallback(t *testing.T) {
 	lo := []int64{0, 0}
 	hi := []int64{5, 5}
 	var ft fastTableau
-	_, _, completed := ft.lpFeasibleFast(2, rows, lo, hi, nil)
+	_, _, completed := ft.lpFeasibleFast(2, rows, lo, hi, nil, nil)
 	if completed {
 		t.Fatal("expected the huge-coefficient LP to overflow the fast path")
 	}

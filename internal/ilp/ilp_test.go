@@ -268,13 +268,13 @@ func TestLPFeasibleDirect(t *testing.T) {
 	lo := []int64{1, 1}
 	hi := []int64{noBound, noBound}
 	rows := []lpRow{{terms: []Term{T(1, 0), T(1, 1)}, rel: LE, k: 1}}
-	if ok, _ := lpFeasible(2, rows, lo, hi, nil); ok {
+	if ok, _ := lpFeasible(2, rows, lo, hi, nil, nil); ok {
 		t.Fatal("infeasible LP reported feasible")
 	}
 	// x + y = 1 with x, y ≥ 0 feasible; check the point.
 	lo = []int64{0, 0}
 	rows = []lpRow{{terms: []Term{T(1, 0), T(1, 1)}, rel: EQ, k: 1}}
-	ok, pt := lpFeasible(2, rows, lo, hi, nil)
+	ok, pt := lpFeasible(2, rows, lo, hi, nil, nil)
 	if !ok {
 		t.Fatal("feasible LP reported infeasible")
 	}
@@ -283,7 +283,7 @@ func TestLPFeasibleDirect(t *testing.T) {
 		t.Fatalf("point %v %v does not satisfy x+y=1", pt[0], pt[1])
 	}
 	// Empty system: trivially feasible at the lower bounds.
-	ok, pt = lpFeasible(1, nil, []int64{2}, []int64{noBound}, nil)
+	ok, pt = lpFeasible(1, nil, []int64{2}, []int64{noBound}, nil, nil)
 	if !ok || pt[0].Num().Int64() != 2 {
 		t.Fatalf("empty LP: %v %v", ok, pt)
 	}

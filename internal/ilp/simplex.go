@@ -22,8 +22,10 @@ type lpRow struct {
 // with hi entries of noBound meaning +∞. It returns a feasible point
 // when one exists. The implementation is a dense phase-1 primal
 // simplex on exact rationals with Bland's rule, which cannot cycle, so
-// the procedure always terminates.
-func lpFeasible(n int, rows []lpRow, lo, hi []int64, stats *Stats) (bool, []*big.Rat) {
+// the procedure always terminates. When done fires (polled every
+// lpPollMask+1 pivots) it gives up and reports infeasible; the caller
+// tells the two apart by polling done itself.
+func lpFeasible(n int, rows []lpRow, lo, hi []int64, stats *Stats, done <-chan struct{}) (bool, []*big.Rat) {
 	// Assemble the standard-form tableau. Variables: n originals, then
 	// one slack per inequality row, then one artificial per row that
 	// needs one. Bounds become extra rows.
@@ -148,9 +150,12 @@ func lpFeasible(n int, rows []lpRow, lo, hi []int64, stats *Stats) (bool, []*big
 	}
 
 	tmp := new(big.Rat)
-	for {
+	for pivots := 0; ; pivots++ {
 		if obj.Sign() == 0 {
 			break
+		}
+		if lpCanceled(done, pivots) {
+			return false, nil
 		}
 		// Bland's rule: entering column = smallest index with positive
 		// reduced cost (minimization of Σ artificials: improving
@@ -243,6 +248,27 @@ func pivot(a [][]*big.Rat, b []*big.Rat, basis []int, leave, enter int) {
 		b[i].Sub(b[i], t)
 	}
 	basis[leave] = enter
+}
+
+// lpPollMask spaces the cancellation polls inside one relaxation: both
+// simplex loops check the solve's context whenever their pivot count
+// satisfies pivots&lpPollMask == 0. The search's own per-node poll
+// cannot interrupt a single long LP, and on hard prequadratic
+// encodings one LP can outlast a deadline by seconds.
+const lpPollMask = 0xf
+
+// lpCanceled reports whether done has fired, polling it only on every
+// lpPollMask+1'th pivot (and never when done is nil).
+func lpCanceled(done <-chan struct{}, pivots int) bool {
+	if done == nil || pivots&lpPollMask != 0 {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 func ratInt(v int64) *big.Rat { return new(big.Rat).SetInt64(v) }

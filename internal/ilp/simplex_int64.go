@@ -138,8 +138,9 @@ func ratioEqual(bi, ai, bl, al int64) bool {
 // reports whether the attempt completed: false means a potential
 // overflow was detected and the caller must rerun on big.Rat (pivots
 // counted so far are discarded so the fallback's stats match a pure
-// exact run).
-func (ft *fastTableau) lpFeasibleFast(n int, rows []lpRow, lo, hi []int64, stats *Stats) (feasible bool, pt []*big.Rat, completed bool) {
+// exact run). Like lpFeasible it polls done and, once it fires,
+// returns a completed infeasible result.
+func (ft *fastTableau) lpFeasibleFast(n int, rows []lpRow, lo, hi []int64, stats *Stats, done <-chan struct{}) (feasible bool, pt []*big.Rat, completed bool) {
 	// Count the standard-form rows first so the flat tableau can be
 	// laid out in one pass: constraint rows plus one row per active
 	// bound.
@@ -279,6 +280,12 @@ func (ft *fastTableau) lpFeasibleFast(n int, rows []lpRow, lo, hi []int64, stats
 	for {
 		if ft.z[cols] == 0 {
 			break
+		}
+		if lpCanceled(done, pivots) {
+			if stats != nil {
+				stats.Pivots += pivots
+			}
+			return false, nil, true
 		}
 		enter := -1
 		for j := 0; j < n+m; j++ {

@@ -592,18 +592,33 @@ func (sv *solver) lpCheck(lo, hi []int64) (bool, []*big.Rat) {
 		}
 	}
 	sv.rowBuf = rows
+	var feasible, completed bool
+	var pt []*big.Rat
 	if !sv.opts.ForceRatLP {
-		feasible, pt, completed := sv.fastTab.lpFeasibleFast(len(lo), rows, lo, hi, &sv.stats)
+		feasible, pt, completed = sv.fastTab.lpFeasibleFast(len(lo), rows, lo, hi, &sv.stats, sv.done)
 		if completed {
 			sv.stats.FastPathLPs++
-			return feasible, pt
+		} else {
+			// Potential int64 overflow: rerun on the exact tableau. The
+			// abandoned attempt committed no pivots, so the stats match
+			// a pure big.Rat run.
+			sv.stats.RatFallbacks++
 		}
-		// Potential int64 overflow: rerun on the exact tableau. The
-		// abandoned attempt committed no pivots, so the stats match a
-		// pure big.Rat run.
-		sv.stats.RatFallbacks++
 	}
-	return lpFeasible(len(lo), rows, lo, hi, &sv.stats)
+	if !completed {
+		feasible, pt = lpFeasible(len(lo), rows, lo, hi, &sv.stats, sv.done)
+	}
+	if !feasible && sv.done != nil {
+		// Both simplex loops give up as infeasible when the context
+		// fires mid-LP; unwind the whole search as canceled.
+		select {
+		case <-sv.done:
+			sv.canceled = true
+			sv.tainted = true
+		default:
+		}
+	}
+	return feasible, pt
 }
 
 func allFixed(lo, hi []int64) bool {

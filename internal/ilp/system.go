@@ -19,9 +19,8 @@ package ilp
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -214,43 +213,65 @@ func normalizeTerms(terms []Term) []Term {
 	return out
 }
 
-// String renders the system for debugging.
-func (s *System) String() string {
-	var b strings.Builder
+// String renders the system for debugging, one constraint per line.
+func (s *System) String() string { return string(s.appendRows(nil)) }
+
+// appendRows appends the String rendering to buf. It formats with
+// strconv and byte appends, never fmt, because Digest renders every
+// system a certificate pins.
+func (s *System) appendRows(buf []byte) []byte {
 	for _, l := range s.Lins {
-		fmt.Fprintf(&b, "%s %s %d\n", s.formatTerms(l.Terms), l.Rel, l.K)
+		buf = s.appendTerms(buf, l.Terms)
+		buf = append(buf, ' ')
+		buf = append(buf, l.Rel.String()...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, l.K, 10)
+		buf = append(buf, '\n')
 	}
 	for _, c := range s.Conds {
-		fmt.Fprintf(&b, "(%s > 0) -> (%s > 0)\n", s.formatTerms(c.If), s.formatTerms(c.Then))
+		buf = append(buf, '(')
+		buf = s.appendTerms(buf, c.If)
+		buf = append(buf, " > 0) -> ("...)
+		buf = s.appendTerms(buf, c.Then)
+		buf = append(buf, " > 0)\n"...)
 	}
 	for _, q := range s.Quads {
-		fmt.Fprintf(&b, "%s <= %s * %s\n", s.names[q.X], s.names[q.Y], s.names[q.Z])
+		buf = append(buf, s.names[q.X]...)
+		buf = append(buf, " <= "...)
+		buf = append(buf, s.names[q.Y]...)
+		buf = append(buf, " * "...)
+		buf = append(buf, s.names[q.Z]...)
+		buf = append(buf, '\n')
 	}
-	return b.String()
+	return buf
 }
 
-func (s *System) formatTerms(terms []Term) string {
+func (s *System) formatTerms(terms []Term) string { return string(s.appendTerms(nil, terms)) }
+
+// appendTerms renders a linear form: "0" when empty, otherwise the
+// terms joined by " + " / " - " with coefficients other than ±1
+// written as c*x.
+func (s *System) appendTerms(buf []byte, terms []Term) []byte {
 	if len(terms) == 0 {
-		return "0"
+		return append(buf, '0')
 	}
-	var b strings.Builder
 	for i, t := range terms {
-		switch {
-		case i == 0 && t.Coef == 1:
-			b.WriteString(s.names[t.Var])
-		case i == 0:
-			fmt.Fprintf(&b, "%d*%s", t.Coef, s.names[t.Var])
-		case t.Coef == 1:
-			fmt.Fprintf(&b, " + %s", s.names[t.Var])
-		case t.Coef == -1:
-			fmt.Fprintf(&b, " - %s", s.names[t.Var])
-		case t.Coef < 0:
-			fmt.Fprintf(&b, " - %d*%s", -t.Coef, s.names[t.Var])
-		default:
-			fmt.Fprintf(&b, " + %d*%s", t.Coef, s.names[t.Var])
+		coef := t.Coef
+		if i > 0 {
+			if coef < 0 {
+				buf = append(buf, " - "...)
+				coef = -coef
+			} else {
+				buf = append(buf, " + "...)
+			}
 		}
+		if coef != 1 {
+			buf = strconv.AppendInt(buf, coef, 10)
+			buf = append(buf, '*')
+		}
+		buf = append(buf, s.names[t.Var]...)
 	}
-	return b.String()
+	return buf
 }
 
 // NamedValues renders a solver assignment as a name → value map, the
@@ -297,14 +318,49 @@ func (s *System) EvalNamed(vec map[string]int64) error {
 // found infeasible; the verifier recompiles the encoding and checks
 // the fingerprints match.
 func (s *System) Digest() string {
-	lines := strings.Split(strings.TrimRight(s.String(), "\n"), "\n")
-	sort.Strings(lines)
-	h := fnv.New64a()
-	for _, l := range lines {
-		io.WriteString(h, l)
-		io.WriteString(h, "\n")
+	// The lines are those of String() with trailing newlines trimmed,
+	// so an empty system hashes one empty line.
+	text := strings.TrimRight(string(s.appendRows(nil)), "\n")
+	lines := make([]string, 0, len(s.Lins)+len(s.Conds)+len(s.Quads))
+	for {
+		i := strings.IndexByte(text, '\n')
+		if i < 0 {
+			lines = append(lines, text)
+			break
+		}
+		lines = append(lines, text[:i])
+		text = text[i+1:]
 	}
-	return fmt.Sprintf("v%d-%016x", len(s.names), h.Sum64())
+	sort.Strings(lines)
+	h := uint64(fnvOffset64)
+	for _, l := range lines {
+		for i := 0; i < len(l); i++ {
+			h = (h ^ uint64(l[i])) * fnvPrime64
+		}
+		h = (h ^ '\n') * fnvPrime64
+	}
+	out := make([]byte, 0, 24)
+	out = append(out, 'v')
+	out = strconv.AppendInt(out, int64(len(s.names)), 10)
+	out = append(out, '-')
+	return string(appendHex16(out, h))
+}
+
+// FNV-1a (64-bit) parameters, as in hash/fnv; hashing inline spares
+// the hash.Hash allocation.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// appendHex16 appends v as 16 zero-padded lowercase hex digits (the
+// %016x rendering).
+func appendHex16(buf []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		buf = append(buf, digits[(v>>uint(shift))&0xf])
+	}
+	return buf
 }
 
 // Eval checks a full assignment against every constraint and returns

@@ -9,6 +9,7 @@
 package scope
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,10 +53,12 @@ type ConflictingPair struct {
 	Via string
 }
 
-// ConflictingPairs returns all conflicting pairs of the specification.
-// (τ1, τ2) is conflicting iff τ1 ≠ τ2, there is a path in D from τ1 to
-// τ2, τ2 is the context type of some constraint, and some inclusion
-// with context τ1 mentions a type strictly below τ2.
+// ConflictingPairs returns all conflicting pairs of the specification,
+// each (Outer, Inner, Via) once, sorted. (τ1, τ2) is conflicting iff
+// τ1 ≠ τ2, there is a path in D from τ1 to τ2, τ2 is the context type
+// of some constraint, and some inclusion with context τ1 mentions a
+// type strictly below τ2. Every path query is answered from one
+// descendant set per source type, built on first use.
 func ConflictingPairs(d *dtd.DTD, set *constraint.Set) []ConflictingPair {
 	restricted := RestrictedTypes(d, set)
 	contexts := map[string]bool{}
@@ -65,20 +68,28 @@ func ConflictingPairs(d *dtd.DTD, set *constraint.Set) []ConflictingPair {
 	for _, c := range set.Incls {
 		contexts[NormalizeContext(c.Context, d.Root)] = true
 	}
+	memo := map[string]map[string]bool{}
+	below := func(t string) map[string]bool {
+		b, ok := memo[t]
+		if !ok {
+			b = d.Below(t)
+			memo[t] = b
+		}
+		return b
+	}
 	var out []ConflictingPair
 	for t1 := range restricted {
 		for t2 := range contexts {
-			if t1 == t2 || !d.HasPath(t1, t2) {
+			if t1 == t2 || !below(t1)[t2] {
 				continue
 			}
+			under := below(t2)
 			for _, c := range set.Incls {
 				if NormalizeContext(c.Context, d.Root) != t1 {
 					continue
 				}
-				for _, t3 := range []string{c.From.Type, c.To.Type} {
-					if t3 != t2 && d.HasPath(t2, t3) {
-						out = append(out, ConflictingPair{Outer: t1, Inner: t2, Via: c.String()})
-					}
+				if (c.From.Type != t2 && under[c.From.Type]) || (c.To.Type != t2 && under[c.To.Type]) {
+					out = append(out, ConflictingPair{Outer: t1, Inner: t2, Via: c.String()})
 				}
 			}
 		}
@@ -92,7 +103,8 @@ func ConflictingPairs(d *dtd.DTD, set *constraint.Set) []ConflictingPair {
 		}
 		return out[i].Via < out[j].Via
 	})
-	return out
+	// A constraint listed twice in Σ witnesses the same pair twice.
+	return slices.Compact(out)
 }
 
 // Hierarchical reports whether (D, Σ) ∈ HRC: the DTD is non-recursive

@@ -394,9 +394,10 @@ func convertResult(res consistency.Result) Result {
 // specification: witness vectors are re-evaluated against the freshly
 // compiled (in)equalities, witness documents re-validated, and lint
 // refutations re-fired — with no solver invocation anywhere. A nil
-// error means the certificate establishes its verdict on its own.
+// error means the certificate establishes its verdict on its own. The
+// certificate's spec stamp is compared against the memoized Digest.
 func (s *Spec) VerifyCertificate(cert *Certificate) error {
-	return certificate.Verify(s.dtd, s.set, cert)
+	return certificate.VerifyDigested(s.dtd, s.set, cert, s.Digest())
 }
 
 // Report is a Result together with the span timeline of the check
