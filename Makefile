@@ -79,8 +79,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# bench runs the root benchmark families, then the compile and
+# certificate-verification microbenchmarks: one encode per family
+# (BenchmarkEncode) and one verified cache hit's re-proof per
+# certificate form (BenchmarkVerify).
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkVerify' -benchmem ./internal/cardinality ./internal/certificate
 
 # serve-smoke builds xmlconsistd, starts it on a random port, and
 # drives the whole serving surface end to end: /healthz, /check with a

@@ -89,8 +89,8 @@ func TestPhantomCycleCut(t *testing.T) {
 		t.Fatal("no flow node for a")
 	}
 	sys.AddGE([]ilp.Term{ilp.T(1, f.Vars[aNode])}, 1)
-	for _, src := range f.refsInto[aNode] {
-		if f.N.Owner[f.Nodes[src].Sym] == "r" {
+	for _, src := range f.feeders(aNode) {
+		if f.N.Owner[f.Nodes[src].Sym] == f.N.Root {
 			sys.AddConst(f.Vars[src], 0)
 		}
 	}
@@ -408,7 +408,10 @@ func TestFlowAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys := enc.SortedExtKeys(); len(keys) != 0 {
-		t.Errorf("no constraints → no ext vars, got %v", keys)
+	if got, want := enc.Flow.Sys.NumVars(), len(enc.Flow.Nodes); got != want {
+		t.Errorf("no constraints → no ext vars, got %d variables for %d flow nodes", got, want)
+	}
+	if _, ok := enc.ExtVar("a", "x"); ok {
+		t.Error("ExtVar of an unmentioned attribute must not exist")
 	}
 }

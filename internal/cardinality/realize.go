@@ -24,9 +24,9 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 	var total int64
 	for i := range f.Nodes {
 		rem[i] = vals[f.Vars[i]]
-		if f.N.IsOriginal(f.Nodes[i].Sym) {
-			total += rem[i]
-		}
+	}
+	for _, i := range f.elements {
+		total += rem[i]
 	}
 	if maxNodes > 0 && total > int64(maxNodes) {
 		return nil, nil, fmt.Errorf("cardinality: solution needs %d elements, above the %d-node realization limit", total, maxNodes)
@@ -41,11 +41,12 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 
 	newElement := func(fn int) (*xmltree.Node, error) {
 		if rem[fn] <= 0 {
-			return nil, fmt.Errorf("cardinality: count of %v exhausted", f.Nodes[fn])
+			return nil, fmt.Errorf("cardinality: count of %s exhausted", f.nodeString(fn))
 		}
 		rem[fn]--
-		n := xmltree.NewElement(f.Nodes[fn].Sym)
-		for _, l := range f.N.Orig.Attrs(f.Nodes[fn].Sym) {
+		name := f.N.Name(f.Nodes[fn].Sym)
+		n := xmltree.NewElement(name)
+		for _, l := range f.N.Orig.Attrs(name) {
 			n.SetAttr(l, "")
 		}
 		origin[n] = fn
@@ -58,24 +59,23 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 	// own type symbol), consuming counts.
 	var expand func(parent *xmltree.Node, fn int) error
 	expand = func(parent *xmltree.Node, fn int) error {
-		r := f.rule(fn)
-		switch r.Kind {
+		switch f.rule(fn).Kind {
 		case dtd.RuleEmpty:
 			return nil
 		case dtd.RuleText:
 			parent.Append(xmltree.NewText("t"))
 			return nil
 		case dtd.RuleRef:
-			child, err := newElement(f.refTarget(fn))
+			child, err := newElement(f.operandA(fn))
 			if err != nil {
 				return err
 			}
 			parent.Append(child)
 			return nil
 		case dtd.RuleSeq:
-			for _, op := range []int{f.operand(fn, r.A), f.operand(fn, r.B)} {
+			for _, op := range []int{f.operandA(fn), f.operandB(fn)} {
 				if rem[op] <= 0 {
-					return fmt.Errorf("cardinality: count of %v exhausted in sequence", f.Nodes[op])
+					return fmt.Errorf("cardinality: count of %s exhausted in sequence", f.nodeString(op))
 				}
 				rem[op]--
 				if err := expand(parent, op); err != nil {
@@ -84,13 +84,13 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 			}
 			return nil
 		case dtd.RuleChoice:
-			a, b := f.operand(fn, r.A), f.operand(fn, r.B)
+			a, b := f.operandA(fn), f.operandB(fn)
 			pick := a
 			if rem[a] <= 0 {
 				pick = b
 			}
 			if rem[pick] <= 0 {
-				return fmt.Errorf("cardinality: both choice branches of %v exhausted", f.Nodes[fn])
+				return fmt.Errorf("cardinality: both choice branches of %s exhausted", f.nodeString(fn))
 			}
 			rem[pick]--
 			return expand(parent, pick)
@@ -99,7 +99,7 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 			// expands this star; any distribution among instances
 			// yields a conforming tree, and totals match by the flow
 			// equations.
-			op := f.operand(fn, r.A)
+			op := f.operandA(fn)
 			take := rem[op]
 			rem[op] = 0
 			for k := int64(0); k < take; k++ {
@@ -125,7 +125,7 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 	}
 	for i, r := range rem {
 		if r != 0 {
-			return nil, nil, fmt.Errorf("cardinality: %d unplaced instances of %v (disconnected support?)", r, f.Nodes[i])
+			return nil, nil, fmt.Errorf("cardinality: %d unplaced instances of %s (disconnected support?)", r, f.nodeString(i))
 		}
 	}
 	return &xmltree.Tree{Root: root}, origin, nil

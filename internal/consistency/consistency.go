@@ -509,7 +509,7 @@ func checkAbsolute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opt
 	res.Stats.Cuts += cuts
 	switch ilpRes.Verdict {
 	case ilp.Unsat:
-		res.conclude(Inconsistent, infeasibleCert(d, set, certificate.EncodingAbsolute, opts))
+		res.conclude(Inconsistent, infeasibleCert(enc.Flow.Sys, certificate.EncodingAbsolute, opts))
 	case ilp.Unknown:
 		res.Verdict = Unknown
 		res.Diagnosis = "integer search exhausted its budget"
@@ -566,7 +566,7 @@ func checkRegular(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 	}
 	if sp != nil {
 		sp.SetInt("regions", int64(len(enc.Regions)))
-		sp.SetInt("cells", int64(len(enc.CellVars)))
+		sp.SetInt("cells", int64(enc.NumCells()))
 	}
 	res.Method = "state-tagged cell encoding (Theorem 3.4)"
 	ilpRes, cuts := decideFlow(enc.Flow, opts)
@@ -575,7 +575,7 @@ func checkRegular(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 	res.Stats.Cuts += cuts
 	switch ilpRes.Verdict {
 	case ilp.Unsat:
-		res.conclude(Inconsistent, infeasibleCert(d, set, certificate.EncodingRegular, opts))
+		res.conclude(Inconsistent, infeasibleCert(enc.Flow.Sys, certificate.EncodingRegular, opts))
 	case ilp.Unknown:
 		res.Verdict = Unknown
 		res.Diagnosis = "integer search exhausted its budget"
@@ -646,31 +646,16 @@ func documentCert(w *xmltree.Tree, opts Options) *certificate.Certificate {
 	return certificate.FromDocument(w.XML())
 }
 
-// infeasibleCert fingerprints the refuted base system by re-encoding
-// the spec (the decide loop has already mutated the solved system with
-// connectivity cuts, so its digest would not match a verifier's fresh
-// compilation). Re-encoding is solver-free and only happens on
-// Inconsistent conclusions.
-func infeasibleCert(d *dtd.DTD, set *constraint.Set, encName certificate.Encoding, opts Options) *certificate.Certificate {
+// infeasibleCert fingerprints the refuted system at its base mark:
+// the decide loop has appended connectivity cuts (and a minimization
+// bound) to the solved system since the encoder marked it, and the
+// base digest ignores them, so it matches a verifier's fresh
+// compilation without compiling the spec again.
+func infeasibleCert(sys *ilp.System, encName certificate.Encoding, opts Options) *certificate.Certificate {
 	if opts.SkipCertificate {
 		return nil
 	}
-	var digest string
-	switch encName {
-	case certificate.EncodingRegular:
-		enc, err := cardinality.EncodeRegular(d, set)
-		if err != nil {
-			return nil
-		}
-		digest = enc.Flow.Sys.Digest()
-	default:
-		enc, err := cardinality.EncodeAbsolute(d, set)
-		if err != nil {
-			return nil
-		}
-		digest = enc.Flow.Sys.Digest()
-	}
-	return certificate.FromInfeasible(encName, digest, "the "+string(encName)+" encoding admits no solution")
+	return certificate.FromInfeasible(encName, sys.BaseDigest(), "the "+string(encName)+" encoding admits no solution")
 }
 
 // adoptWitness attaches w when it passes the dynamic checker — it

@@ -108,7 +108,7 @@ func checkRelative(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 			}
 		}
 	case root.verdict == ilp.Unsat:
-		res.conclude(Inconsistent, scopeRefutationCert(d, root.digest, opts))
+		res.conclude(Inconsistent, scopeRefutationCert(d, root, opts))
 	default:
 		res.Verdict = Unknown
 		res.Diagnosis = "a scope sub-problem exhausted the solver budget"
@@ -127,9 +127,6 @@ type hierScope struct {
 	exits  []string
 	banned map[string]bool
 	chain  map[string]bool
-	// digest fingerprints the scope's base system (before forced-zero
-	// constants and connectivity cuts), for refutation certificates.
-	digest string
 }
 
 type hierChecker struct {
@@ -217,13 +214,6 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, 
 		probe.record(key, tau, ilp.Unknown, ilp.Stats{}, 0, local)
 		return hierScope{verdict: ilp.Unknown}
 	}
-	var digest string
-	if !opts.SkipCertificate {
-		// Fingerprint the base system before the forced-zero constants
-		// and connectivity cuts mutate it: the certificate verifier
-		// compares against a fresh compilation of exactly this system.
-		digest = enc.Flow.Sys.Digest()
-	}
 	for e := range banned {
 		forceZero = append(forceZero, e)
 	}
@@ -243,7 +233,6 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, 
 		exits:   exits,
 		banned:  banned,
 		chain:   chain,
-		digest:  digest,
 	}
 	// Unsat is exact (only provably inconsistent exits were banned).
 	// A Sat that places an exit whose own problem is Unknown is
@@ -310,13 +299,17 @@ func (h *hierChecker) scopeCertificate() *certificate.Certificate {
 	return certificate.FromScopeVectors(scopes)
 }
 
-// scopeRefutationCert pins the infeasible root scope problem.
-func scopeRefutationCert(d *dtd.DTD, digest string, opts Options) *certificate.Certificate {
-	if opts.SkipCertificate || digest == "" {
+// scopeRefutationCert pins the infeasible root scope problem by the
+// digest of its base system: the encoding as compiled, before the
+// forced-zero constants and connectivity cuts appended to it, which is
+// what the certificate verifier's fresh compilation produces. Only
+// the refuted root scope is ever digested.
+func scopeRefutationCert(d *dtd.DTD, root hierScope, opts Options) *certificate.Certificate {
+	if opts.SkipCertificate || root.enc == nil {
 		return nil
 	}
 	return certificate.FromScopeRefutation(
-		scope.ChainKey(map[string]bool{d.Root: true}, d.Root), digest)
+		scope.ChainKey(map[string]bool{d.Root: true}, d.Root), root.enc.Flow.Sys.BaseDigest())
 }
 
 func chainNames(chain map[string]bool) []string {

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/pathre"
@@ -37,12 +38,13 @@ func (v Violation) String() string {
 // document does not even conform to the DTD the set was validated
 // against.
 func Check(t *xmltree.Tree, set *Set) []Violation {
+	c := &checker{t: t, set: set}
 	var out []Violation
 	for _, k := range set.Keys {
-		out = append(out, checkKey(t, k)...)
+		out = append(out, c.checkKey(k)...)
 	}
-	for _, c := range set.Incls {
-		out = append(out, checkInclusion(t, c)...)
+	for _, inc := range set.Incls {
+		out = append(out, c.checkInclusion(inc)...)
 	}
 	return out
 }
@@ -50,12 +52,70 @@ func Check(t *xmltree.Tree, set *Set) []Violation {
 // Satisfies reports whether the document satisfies the set.
 func Satisfies(t *xmltree.Tree, set *Set) bool { return len(Check(t, set)) == 0 }
 
+// checker is the state of one Check call. A path target's extent does
+// not depend on the scope, so each distinct (β, τ) target is compiled
+// to a DFA and matched against the tree once per call, however many
+// constraints and scopes mention it.
+type checker struct {
+	t     *xmltree.Tree
+	set   *Set
+	syms  []string
+	paths []pathExtent
+}
+
+// pathExtent is the memoized node list of one path target.
+type pathExtent struct {
+	path  *pathre.Expr
+	typ   string
+	nodes []*xmltree.Node
+}
+
+// alphabet returns the DFA alphabet shared by every path target of
+// the call: the tree's labels plus every symbol of the set's path
+// targets, sorted.
+func (c *checker) alphabet() []string {
+	if c.syms != nil {
+		return c.syms
+	}
+	seen := map[string]bool{}
+	c.t.Walk(func(n *xmltree.Node) { seen[n.Label] = true })
+	add := func(tgt Target) {
+		if tgt.Path != nil {
+			seen[tgt.Type] = true
+			for _, s := range tgt.Path.Symbols() {
+				seen[s] = true
+			}
+		}
+	}
+	for _, k := range c.set.Keys {
+		add(k.Target)
+	}
+	for _, inc := range c.set.Incls {
+		add(inc.From)
+		add(inc.To)
+	}
+	c.syms = make([]string, 0, len(seen))
+	for s := range seen {
+		c.syms = append(c.syms, s)
+	}
+	sort.Strings(c.syms)
+	return c.syms
+}
+
 // extent returns the nodes a target ranges over: the whole document
 // (root included) for absolute constraints, and the proper descendants
 // of the scope node for relative ones (the x ≺ y of Section 4).
-func extent(t *xmltree.Tree, scope *xmltree.Node, relative bool, tgt Target) []*xmltree.Node {
+func (c *checker) extent(scope *xmltree.Node, relative bool, tgt Target) []*xmltree.Node {
 	if tgt.Path != nil {
-		return t.NodesMatching(pathre.Concat(tgt.Path, pathre.Symbol(tgt.Type)))
+		for _, p := range c.paths {
+			if p.path == tgt.Path && p.typ == tgt.Type {
+				return p.nodes
+			}
+		}
+		dfa := pathre.CompileDFA(pathre.Concat(tgt.Path, pathre.Symbol(tgt.Type)), c.alphabet())
+		nodes := c.t.NodesAccepted(dfa)
+		c.paths = append(c.paths, pathExtent{tgt.Path, tgt.Type, nodes})
+		return nodes
 	}
 	var out []*xmltree.Node
 	var walk func(n *xmltree.Node)
@@ -70,7 +130,7 @@ func extent(t *xmltree.Tree, scope *xmltree.Node, relative bool, tgt Target) []*
 		}
 	}
 	if scope == nil {
-		scope = t.Root
+		scope = c.t.Root
 	}
 	if relative {
 		for _, k := range scope.Children {
@@ -94,11 +154,11 @@ func contexts(t *xmltree.Tree, context string) []*xmltree.Node {
 	return t.Ext(context)
 }
 
-func checkKey(t *xmltree.Tree, k Key) []Violation {
+func (c *checker) checkKey(k Key) []Violation {
 	var out []Violation
-	for _, scope := range contexts(t, k.Context) {
+	for _, scope := range contexts(c.t, k.Context) {
 		seen := map[string]*xmltree.Node{}
-		for _, n := range extent(t, scope, k.Context != "", k.Target) {
+		for _, n := range c.extent(scope, k.Context != "", k.Target) {
 			vals, ok := n.AttrList(k.Target.Attrs)
 			if !ok {
 				out = append(out, Violation{
@@ -123,29 +183,29 @@ func checkKey(t *xmltree.Tree, k Key) []Violation {
 	return out
 }
 
-func checkInclusion(t *xmltree.Tree, c Inclusion) []Violation {
+func (c *checker) checkInclusion(inc Inclusion) []Violation {
 	var out []Violation
-	for _, scope := range contexts(t, c.Context) {
+	for _, scope := range contexts(c.t, inc.Context) {
 		have := map[string]bool{}
-		for _, n := range extent(t, scope, c.Context != "", c.To) {
-			if vals, ok := n.AttrList(c.To.Attrs); ok {
+		for _, n := range c.extent(scope, inc.Context != "", inc.To) {
+			if vals, ok := n.AttrList(inc.To.Attrs); ok {
 				have[encodeTuple(vals)] = true
 			}
 		}
-		for _, n := range extent(t, scope, c.Context != "", c.From) {
-			vals, ok := n.AttrList(c.From.Attrs)
+		for _, n := range c.extent(scope, inc.Context != "", inc.From) {
+			vals, ok := n.AttrList(inc.From.Attrs)
 			if !ok {
 				out = append(out, Violation{
-					Constraint: c.String(),
-					Msg:        fmt.Sprintf("node lacks foreign-key attribute(s) %v", c.From.Attrs),
+					Constraint: inc.String(),
+					Msg:        fmt.Sprintf("node lacks foreign-key attribute(s) %v", inc.From.Attrs),
 					Nodes:      []*xmltree.Node{n},
 				})
 				continue
 			}
 			if !have[encodeTuple(vals)] {
 				out = append(out, Violation{
-					Constraint: c.String(),
-					Msg:        fmt.Sprintf("value %v has no matching %s", vals, c.To),
+					Constraint: inc.String(),
+					Msg:        fmt.Sprintf("value %v has no matching %s", vals, inc.To),
 					Nodes:      []*xmltree.Node{n},
 				})
 			}

@@ -192,26 +192,20 @@ func TestNarrowShapes(t *testing.T) {
 <!ELEMENT c EMPTY>
 `)
 	n := Narrow(d)
-	if n.Root != "r" {
-		t.Fatalf("narrowed root = %q", n.Root)
+	if got := n.Name(n.Root); got != "r" {
+		t.Fatalf("narrowed root = %q", got)
 	}
 	// Every rule must have one of the six legal shapes with operands
 	// that are defined symbols; original types may appear only in
 	// RuleRef targets.
-	for _, sym := range n.Symbols {
-		r, ok := n.Rules[sym]
-		if !ok {
-			t.Fatalf("symbol %q has no rule", sym)
-		}
-		checkOperand := func(op string, refAllowed bool) {
-			if op == "" {
-				t.Fatalf("rule of %q has empty operand", sym)
-			}
-			if _, ok := n.Rules[op]; !ok {
-				t.Fatalf("rule of %q references undefined symbol %q", sym, op)
+	refParents := map[string]int{}
+	for sym, r := range n.Rules {
+		checkOperand := func(op int, refAllowed bool) {
+			if op < 0 || op >= n.NumSymbols() {
+				t.Fatalf("rule of %q references undefined symbol %d", n.Name(sym), op)
 			}
 			if !refAllowed && n.IsOriginal(op) {
-				t.Errorf("rule of %q uses original type %q outside RuleRef", sym, op)
+				t.Errorf("rule of %q uses original type %q outside RuleRef", n.Name(sym), n.Name(op))
 			}
 		}
 		switch r.Kind {
@@ -219,26 +213,38 @@ func TestNarrowShapes(t *testing.T) {
 		case RuleRef:
 			checkOperand(r.A, true)
 			if !n.IsOriginal(r.A) {
-				t.Errorf("RuleRef target %q of %q is not an original type", r.A, sym)
+				t.Errorf("RuleRef target %q of %q is not an original type", n.Name(r.A), n.Name(sym))
 			}
+			refParents[n.Name(r.A)]++
 		case RuleStar:
 			checkOperand(r.A, false)
 		case RuleSeq, RuleChoice:
 			checkOperand(r.A, false)
 			checkOperand(r.B, false)
 		default:
-			t.Fatalf("rule of %q has unknown kind %d", sym, r.Kind)
+			t.Fatalf("rule of %q has unknown kind %d", n.Name(sym), r.Kind)
 		}
 	}
-	// RefParents of a, b, c must cover exactly the reference sites.
-	rp := n.RefParents()
+	// The RuleRef parents of a, b, c must cover exactly the reference
+	// sites.
 	for _, typ := range []string{"a", "b", "c"} {
-		if len(rp[typ]) != 1 {
-			t.Errorf("RefParents[%s] = %v, want exactly 1", typ, rp[typ])
+		if refParents[typ] != 1 {
+			t.Errorf("%s has %d RuleRef parents, want exactly 1", typ, refParents[typ])
 		}
 	}
-	if s := n.String(); !strings.Contains(s, "->") {
-		t.Error("String() renders nothing")
+	// Nonterminals are named owner#k in creation order.
+	want := "r -> r#1, r#2\na -> EMPTY\nb -> EMPTY\nc -> EMPTY\nr#1 -> a\nr#2 -> r#3, r#7\n" +
+		"r#3 -> r#4*\nr#4 -> r#5 | r#6\nr#5 -> b\nr#6 -> c\nr#7 -> #PCDATA\n"
+	if s := n.String(); s != want {
+		t.Errorf("String() =\n%s\nwant\n%s", s, want)
+	}
+	for sym := 0; sym < n.NumSymbols(); sym++ {
+		if n.IsOriginal(sym) != (n.Owner[sym] == sym) {
+			t.Errorf("%s: IsOriginal disagrees with Owner", n.Name(sym))
+		}
+		if id, ok := n.ID(n.Name(sym)); ok != n.IsOriginal(sym) || ok && id != sym {
+			t.Errorf("ID(%s) = %d, %v", n.Name(sym), id, ok)
+		}
 	}
 }
 
@@ -253,17 +259,17 @@ func TestNarrowPreservesLanguage(t *testing.T) {
 			Types: 4, MaxAttrs: 0, MaxExprSize: 8, AllowStar: true, AllowText: true,
 		})
 		n := Narrow(d)
-		for _, name := range d.Names {
+		for id, name := range d.Names {
 			e := d.Elements[name].Content
 			for i := 0; i < 20; i++ {
 				w := e.Sample(rng, contentmodel.SampleOptions{StarMax: 3})
-				if !deriveWord(n, name, w) {
+				if !deriveWord(n, id, w) {
 					t.Fatalf("narrowed grammar of %q cannot derive sampled word %v\nDTD:\n%s\nGrammar:\n%s",
 						name, w, d, n)
 				}
 			}
 			for i := 0; i < 20; i++ {
-				w := sampleNarrow(n, name, rng, 40)
+				w := sampleNarrow(n, id, rng, 40)
 				if w == nil {
 					continue
 				}
@@ -278,14 +284,11 @@ func TestNarrowPreservesLanguage(t *testing.T) {
 // deriveWord reports whether the narrowed grammar can derive word w
 // from the production of symbol sym (treating RuleRef and RuleText as
 // terminals emitting one symbol).
-func deriveWord(n *Narrowed, sym string, w []string) bool {
-	type key struct {
-		sym  string
-		i, j int
-	}
+func deriveWord(n *Narrowed, sym int, w []string) bool {
+	type key struct{ sym, i, j int }
 	memo := map[key]bool{}
-	var derives func(sym string, i, j int) bool
-	derives = func(sym string, i, j int) bool {
+	var derives func(sym int, i, j int) bool
+	derives = func(sym int, i, j int) bool {
 		k := key{sym, i, j}
 		if v, ok := memo[k]; ok {
 			return v
@@ -299,7 +302,7 @@ func deriveWord(n *Narrowed, sym string, w []string) bool {
 		case RuleText:
 			res = j == i+1 && w[i] == contentmodel.TextSymbol
 		case RuleRef:
-			res = j == i+1 && w[i] == r.A
+			res = j == i+1 && w[i] == n.Name(r.A)
 		case RuleSeq:
 			for m := i; m <= j && !res; m++ {
 				res = derives(r.A, i, m) && derives(r.B, m, j)
@@ -322,10 +325,10 @@ func deriveWord(n *Narrowed, sym string, w []string) bool {
 
 // sampleNarrow samples a random word derived from sym in the narrowed
 // grammar, or nil if the budget is exhausted.
-func sampleNarrow(n *Narrowed, sym string, rng *rand.Rand, budget int) []string {
+func sampleNarrow(n *Narrowed, sym int, rng *rand.Rand, budget int) []string {
 	var out []string
-	var walk func(sym string) bool
-	walk = func(sym string) bool {
+	var walk func(sym int) bool
+	walk = func(sym int) bool {
 		if budget--; budget < 0 {
 			return false
 		}
@@ -335,7 +338,7 @@ func sampleNarrow(n *Narrowed, sym string, rng *rand.Rand, budget int) []string 
 		case RuleText:
 			out = append(out, contentmodel.TextSymbol)
 		case RuleRef:
-			out = append(out, r.A)
+			out = append(out, n.Name(r.A))
 		case RuleSeq:
 			return walk(r.A) && walk(r.B)
 		case RuleChoice:

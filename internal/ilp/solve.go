@@ -82,8 +82,9 @@ type Options struct {
 	// costs nothing on the hot path.
 	Ctx context.Context
 	// Progress, when non-nil, receives sampled live snapshots of the
-	// search (every progressMask+1 nodes, after each simplex call, and
-	// once at the end of every solve) through the publisher's atomic
+	// search (on entering the root node, every progressMask+1 nodes,
+	// after each simplex call, and once at the end of every solve)
+	// through the publisher's atomic
 	// pointer. The search-shaped fields describe the current solve;
 	// Progress.Restarts counts how many solves this publisher has
 	// seen. A nil Progress costs one pointer check per node.
@@ -304,7 +305,9 @@ func (sv *solver) search(lo, hi []int64, depth int) (Verdict, []int64) {
 	if depth > sv.stats.MaxDepth {
 		sv.stats.MaxDepth = depth
 	}
-	if sv.opts.Progress != nil && sv.stats.Nodes&progressMask == 0 {
+	// The root snapshot makes a long root propagation visible as work
+	// in progress instead of a zero node count.
+	if sv.opts.Progress != nil && (sv.stats.Nodes == 1 || sv.stats.Nodes&progressMask == 0) {
 		sv.publishProgress(lo, hi, depth)
 	}
 	if sv.stats.Nodes > sv.opts.MaxNodes {

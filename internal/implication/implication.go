@@ -190,9 +190,9 @@ func refuteInclusion(d *dtd.DTD, set *constraint.Set, inc constraint.Inclusion, 
 	}
 	// ¬inclusion: a value of region i outside region j's value set.
 	var terms []ilp.Term
-	for m, v := range enc.CellVars {
+	for m := uint(1); m < uint(len(enc.CellVars)); m++ {
 		if m&(1<<uint(i)) != 0 && m&(1<<uint(j)) == 0 {
-			terms = append(terms, ilp.T(1, v))
+			terms = append(terms, ilp.T(1, enc.CellVars[m]))
 		}
 	}
 	if len(terms) == 0 {

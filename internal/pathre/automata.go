@@ -412,8 +412,8 @@ type Product struct {
 	Alphabet []string
 	// Trans[s*len(Alphabet)+c] is the successor product state.
 	Trans []int
-	// tuples[s] is the underlying tuple of DFA states.
-	tuples [][]int
+	// tuples[s*len(DFAs)+i] is DFA i's state in product state s.
+	tuples []int32
 }
 
 // NewProduct builds the reachable product of the DFAs, which must all
@@ -428,32 +428,31 @@ func NewProduct(dfas []*DFA) *Product {
 			panic("pathre: product over different alphabets")
 		}
 	}
+	k := len(dfas)
 	p := &Product{DFAs: dfas, Alphabet: alpha}
 	// A tuple is keyed by its states packed as 4-byte integers, so a
 	// step allocates only when it discovers a new product state.
-	key := make([]byte, 4*len(dfas))
-	pack := func(tuple []int) []byte {
-		for i, s := range tuple {
+	key := make([]byte, 4*k)
+	next := make([]int32, k)
+	pack := func() []byte {
+		for i, s := range next {
 			binary.LittleEndian.PutUint32(key[4*i:], uint32(s))
 		}
 		return key
 	}
-	start := make([]int, len(dfas))
-	ids := map[string]int{string(pack(start)): 0}
-	p.tuples = [][]int{start}
-	p.Trans = make([]int, len(alpha))
-	next := make([]int, len(dfas))
-	for q := 0; q < len(p.tuples); q++ {
-		tuple := p.tuples[q]
+	ids := map[string]int{string(pack()): 0}
+	p.tuples = make([]int32, k, 8*k)
+	p.Trans = make([]int, len(alpha), 8*len(alpha))
+	for q := 0; q*k < len(p.tuples); q++ {
 		for ci := range alpha {
 			for i, d := range dfas {
-				next[i] = d.Trans[tuple[i]*len(alpha)+ci]
+				next[i] = int32(d.Trans[int(p.tuples[q*k+i])*len(alpha)+ci])
 			}
-			id, ok := ids[string(pack(next))]
+			id, ok := ids[string(pack())]
 			if !ok {
-				id = len(p.tuples)
+				id = len(p.tuples) / k
 				ids[string(key)] = id
-				p.tuples = append(p.tuples, append([]int(nil), next...))
+				p.tuples = append(p.tuples, next...)
 				p.Trans = append(p.Trans, make([]int, len(alpha))...)
 			}
 			p.Trans[q*len(alpha)+ci] = id
@@ -463,7 +462,7 @@ func NewProduct(dfas []*DFA) *Product {
 }
 
 // NumStates returns the number of reachable product states.
-func (p *Product) NumStates() int { return len(p.tuples) }
+func (p *Product) NumStates() int { return len(p.tuples) / len(p.DFAs) }
 
 // Step returns δ(s, sym).
 func (p *Product) Step(s int, sym string) int {
@@ -477,5 +476,5 @@ func (p *Product) Step(s int, sym string) int {
 // AcceptsComponent reports whether product state s contains a final
 // state of the i-th DFA (Lemma 5: the node is in nodes_D(β_i)).
 func (p *Product) AcceptsComponent(s, i int) bool {
-	return p.DFAs[i].Accept[p.tuples[s][i]]
+	return p.DFAs[i].Accept[p.tuples[s*len(p.DFAs)+i]]
 }

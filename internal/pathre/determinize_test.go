@@ -134,10 +134,10 @@ func referenceProduct(dfas []*DFA) *Product {
 	}
 	start := make([]int, len(dfas))
 	ids := map[string]int{key(start): 0}
-	p.tuples = [][]int{start}
+	tuples := [][]int{start}
 	p.Trans = make([]int, len(alpha))
-	for q := 0; q < len(p.tuples); q++ {
-		tuple := p.tuples[q]
+	for q := 0; q < len(tuples); q++ {
+		tuple := tuples[q]
 		for ci := range alpha {
 			next := make([]int, len(dfas))
 			for i, d := range dfas {
@@ -146,12 +146,18 @@ func referenceProduct(dfas []*DFA) *Product {
 			k := key(next)
 			id, ok := ids[k]
 			if !ok {
-				id = len(p.tuples)
+				id = len(tuples)
 				ids[k] = id
-				p.tuples = append(p.tuples, next)
+				tuples = append(tuples, next)
 				p.Trans = append(p.Trans, make([]int, len(alpha))...)
 			}
 			p.Trans[q*len(alpha)+ci] = id
+		}
+	}
+	// The product stores its tuples flat.
+	for _, tuple := range tuples {
+		for _, s := range tuple {
+			p.tuples = append(p.tuples, int32(s))
 		}
 	}
 	return p

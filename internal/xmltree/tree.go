@@ -184,7 +184,16 @@ func (t *Tree) NodesMatching(beta *pathre.Expr) []*Node {
 		syms = append(syms, s)
 	}
 	sort.Strings(syms)
-	dfa := pathre.CompileDFA(beta, syms)
+	return t.NodesAccepted(pathre.CompileDFA(beta, syms))
+}
+
+// NodesAccepted returns the element nodes whose root-to-node label path
+// the DFA accepts, in document order. The DFA's alphabet must contain
+// every label of the tree.
+func (t *Tree) NodesAccepted(dfa *pathre.DFA) []*Node {
+	if t.Root == nil {
+		return nil
+	}
 	var out []*Node
 	var walk func(n *Node, state int)
 	walk = func(n *Node, state int) {
