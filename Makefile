@@ -2,16 +2,16 @@ GO ?= go
 
 ANALYZERS := bin/analyzers
 
-.PHONY: check build vet test race race-core determinism fmt bench lint bench-journal bench-watch serve-smoke prove-smoke perfbench
+.PHONY: check build vet test race race-core determinism fmt bench lint gates serve-smoke prove-smoke perfbench
 
 # The full pre-commit gate: formatting, vet (including the custom
-# analyzers and the spec linter), build, the race-enabled test suite,
-# the unabridged race pass over the solver core, the parallel
-# determinism check, the end-to-end daemon and prover smoke tests, and
-# the bench-regression sentinel over the committed journals, and a
-# build of the benchmark module. -short keeps the long soak tests out;
-# run `make test` for the unabridged suite.
-check: fmt vet lint build perfbench race race-core determinism serve-smoke prove-smoke bench-watch
+# analyzers and the spec linter), build, a build of the benchmark
+# module, the race-enabled test suite, the unabridged race pass over
+# the solver core, the parallel determinism check, the end-to-end
+# daemon and prover smoke tests, and the live performance gates.
+# -short keeps the long soak tests out; run `make test` for the
+# unabridged suite.
+check: fmt vet lint build perfbench race race-core determinism serve-smoke prove-smoke gates
 
 build:
 	$(GO) build ./...
@@ -113,28 +113,13 @@ prove-smoke:
 	$(GO) build -o bin/xmlconsist ./cmd/xmlconsist
 	$(GO) run ./tools/provesmoke -bin bin/xmlconsist
 
-# bench-journal appends one timed run of the core benchmark families
-# to the day's BENCH_<date>.json (schema repro-bench/v1), recording
-# ns/op, allocs/op, certificate sizes, and per-phase span durations
-# alongside the toolchain and VCS revision.
-bench-journal:
-	$(GO) run ./cmd/benchjournal
-
-# bench-watch compares the latest journaled run against the best prior
-# measurement and fails on a >75% ns/op regression or a >10% allocs/op
-# regression; measurements under the 50µs noise floor are exempt from
-# the relative ns/op comparison (machine drift dwarfs them) but still
-# face the absolute gates. The allocs gate pins the observer-free
-# fig2/library check at 689 allocs/op — the attach-only introspection
-# invariant: a detached publisher and a nil ledger must cost nothing.
-# The ns gates bound the Figure 3/4 hard families outright; the
-# lp=fast gate is the int64 fast-path sentinel — the same instance on
-# the exact big.Rat tableau takes well over a second, so losing the
-# fast path cannot pass it.
-bench-watch:
-	$(GO) run ./cmd/benchwatch -threshold 0.75 -ns-floor 50000 \
-		-max-allocs 'fig2/library=689' \
-		-max-ns 'fig3/unary-n=4=15000000' \
-		-max-ns 'fig4/hierarchical-levels=4=1500000' \
-		-max-ns 'fig4/hierarchical-levels=6/seq=3000000' \
-		-max-ns 'fig3/unary-n=6/lp=fast=1000000000'
+# gates runs the performance gates on the code under test, without the
+# race detector (whose instrumentation shifts allocation counts and
+# slows checks past any ceiling): the allocation pins on the
+# obs-disabled library check, one encode per family, and one verified
+# cache hit's scope vectors (TestLibraryCheckAllocs, TestEncodeAllocs,
+# TestVerifyScopeVectorsAllocs), the best-of-k wall-time ceilings on
+# the hard Figure 3/4 instances (TestCheckCeilings), and the
+# deterministic int64 fast-path sentinel (TestCeilingFastPathSentinel).
+gates:
+	$(GO) test -count=1 -run 'Allocs$$|Ceiling' . ./internal/cardinality ./internal/certificate

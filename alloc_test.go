@@ -4,11 +4,9 @@ import "testing"
 
 // maxLibraryCheckAllocs is the obs-disabled allocation gate on the
 // Figure 2 library check: with observability detached and certificate
-// capture off, every tracing hook must stay a nil check. bench-watch
-// still applies the looser 689 journal gate to the journaled
-// BenchmarkCheck/obs-disabled figure; this asserts the current count on
-// the code under test. Race builds get their own gate, since the
-// detector's instrumentation allocates a few times more.
+// capture off, every tracing hook must stay a nil check. `make gates`
+// runs it without the race detector; race builds get their own gate,
+// since the detector's instrumentation allocates a few times more.
 const (
 	maxLibraryCheckAllocs     = 388
 	maxLibraryCheckAllocsRace = 397

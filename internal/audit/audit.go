@@ -27,8 +27,7 @@ import (
 // Event is one audited check. It is written as a single JSON line and
 // is designed to be joinable with the other serving artifacts: the
 // request ID matches the X-Request-Id header and the trace file name,
-// the spec digest matches the /check response, certificate, and
-// benchmark-journal entries.
+// the spec digest matches the /check response and its certificate.
 type Event struct {
 	// Time is the RFC 3339 completion time (stamped by Record when
 	// empty).
@@ -58,11 +57,11 @@ type Event struct {
 	// ElapsedUS is the end-to-end check latency in microseconds.
 	ElapsedUS int64 `json:"elapsed_us"`
 	// Phases are the check's per-phase span durations (slash-joined
-	// paths, as in traces and the benchmark journal).
+	// paths, as in traces).
 	Phases []Phase `json:"phases,omitempty"`
 	// ScopeCosts attributes the check's cost to its scope subproblems
-	// (repro-bench/v1 rows, capped by the recorder so a pathological
-	// spec cannot bloat the log line). Additive: absent in old logs.
+	// (introspect.ScopeCost rows, capped by the recorder so a
+	// pathological spec cannot bloat the log line). Additive: absent in old logs.
 	ScopeCosts []introspect.ScopeCost `json:"scope_costs,omitempty"`
 }
 

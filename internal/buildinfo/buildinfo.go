@@ -1,8 +1,8 @@
 // Package buildinfo exposes the build stamp — module version, VCS
 // revision, and toolchain — that every CLI's -version flag prints and
-// that trace exports and benchmark journal entries embed, so any
-// artifact this repository produces can be traced back to the exact
-// build that produced it.
+// that trace exports, the daemon's status page, and its telemetry
+// embed, so any artifact this repository produces can be traced back
+// to the exact build that produced it.
 package buildinfo
 
 import (

@@ -129,8 +129,8 @@ type Certificate struct {
 	Refutation *Refutation `json:"refutation,omitempty"`
 	// SpecDigest is the canonical digest of the specification the
 	// certificate is about (internal/digest), stamped by the facade so
-	// a certificate stored next to an audit log, journal entry, or
-	// trace names the spec it proves something for. Verify re-derives
+	// a certificate stored next to an audit log or trace names the
+	// spec it proves something for. Verify re-derives
 	// the digest from the presented spec and rejects a mismatch; an
 	// empty digest (certificates built below the facade) skips the
 	// check.
@@ -222,7 +222,7 @@ func (c *Certificate) Kind() string {
 	}
 }
 
-// Size is a rough payload measure for the benchmark journal: vector
+// Size is a rough payload measure, as String prints it: vector
 // entries across all scopes, document bytes, or 1 for refutations and
 // the DTD-satisfiability fact.
 func (c *Certificate) Size() int {

@@ -9,7 +9,7 @@ import (
 )
 
 // SpanInfo is one finished (or still-open) span in flat pre-order
-// form, the shape reports and the benchmark journal consume: the
+// form, the shape reports and audit events consume: the
 // slash-joined path identifies the phase, StartUS/DurationUS place it
 // on the recorder's event timeline.
 type SpanInfo struct {

@@ -91,6 +91,30 @@ func TestParseTraceparentFutureVersion(t *testing.T) {
 	}
 }
 
+// FuzzTraceparent: ParseTraceparent never panics, rejects only with
+// ErrTraceparent, and accepts only W3C-shaped identifiers, which
+// FormatTraceparent renders into a header that parses back to them.
+// Plain `go test` replays the committed corpus under testdata/fuzz.
+func FuzzTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, header string) {
+		tid, pid, err := ParseTraceparent(header)
+		if err != nil {
+			if !errors.Is(err, ErrTraceparent) {
+				t.Fatalf("ParseTraceparent(%q): error %v does not wrap ErrTraceparent", header, err)
+			}
+			return
+		}
+		if len(tid) != TraceIDLen || !isLowerHex(tid) || len(pid) != SpanIDLen || !isLowerHex(pid) {
+			t.Fatalf("ParseTraceparent(%q) accepted ids (%q, %q)", header, tid, pid)
+		}
+		again := FormatTraceparent(tid, pid)
+		tid2, pid2, err := ParseTraceparent(again)
+		if err != nil || tid2 != tid || pid2 != pid {
+			t.Fatalf("%q re-parses to (%q, %q, %v), want (%q, %q)", again, tid2, pid2, err, tid, pid)
+		}
+	})
+}
+
 // TestRecorderTraceID: lazily generated, pinnable, stamped into the
 // Chrome-trace header; nil recorders report "".
 func TestRecorderTraceID(t *testing.T) {

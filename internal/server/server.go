@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -319,7 +320,7 @@ type CheckResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// SpecDigest is the canonical digest of the checked specification
 	// (internal/digest) — the key joining this response to audit
-	// events, traces, journal entries, and the status page.
+	// events, traces, certificates, and the status page.
 	SpecDigest  string                   `json:"spec_digest"`
 	Verdict     string                   `json:"verdict"`
 	Class       string                   `json:"class,omitempty"`
@@ -729,11 +730,17 @@ func auditPhases(rec *obs.Recorder) []audit.Phase {
 
 // checkContext derives the context a check runs under: the request
 // context (canceled on client disconnect) bounded by the tighter of
-// the server-wide and per-request deadlines.
+// the server-wide and per-request deadlines. A deadline_ms too large
+// for a time.Duration saturates rather than wrapping negative, so a
+// request can only ever tighten the server's deadline.
 func (s *Server) checkContext(ctx context.Context, deadlineMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.Deadline
 	if deadlineMS > 0 {
-		if reqD := time.Duration(deadlineMS) * time.Millisecond; d == 0 || reqD < d {
+		reqD := time.Duration(math.MaxInt64)
+		if deadlineMS <= int64(reqD/time.Millisecond) {
+			reqD = time.Duration(deadlineMS) * time.Millisecond
+		}
+		if d == 0 || reqD < d {
 			d = reqD
 		}
 	}

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -342,6 +344,36 @@ func TestServerDeadlineConfig(t *testing.T) {
 	resp, out := postCheck(t, ts, CheckRequest{DTD: in.D.String(), Constraints: in.Set.String()})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, out)
+	}
+}
+
+// TestCheckContextDeadline pins that a request's deadline_ms can only
+// tighten the configured deadline: a value whose duration overflows
+// int64 nanoseconds must not lift it.
+func TestCheckContextDeadline(t *testing.T) {
+	const cfgDeadline = 30 * time.Second
+	s := NewServer(Config{Deadline: cfgDeadline, Logger: quietLogger()})
+	for _, tc := range []struct {
+		deadlineMS int64
+		want       time.Duration
+	}{
+		{0, cfgDeadline},
+		{5000, 5 * time.Second},
+		{9223372036855, cfgDeadline}, // × time.Millisecond overflows int64
+		{math.MaxInt64, cfgDeadline},
+	} {
+		before := time.Now()
+		ctx, cancel := s.checkContext(context.Background(), tc.deadlineMS)
+		after := time.Now()
+		got, ok := ctx.Deadline()
+		cancel()
+		if !ok {
+			t.Errorf("deadline_ms %d: context has no deadline, want %v", tc.deadlineMS, tc.want)
+			continue
+		}
+		if got.Before(before.Add(tc.want)) || got.After(after.Add(tc.want)) {
+			t.Errorf("deadline_ms %d: deadline %v away, want %v", tc.deadlineMS, got.Sub(before), tc.want)
+		}
 	}
 }
 
