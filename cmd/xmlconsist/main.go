@@ -112,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		implies     = fs.String("implies", "", "also check whether the specification implies this constraint")
 		searchNodes = fs.Int("search-nodes", 6, "node bound for the fallback search on undecidable dialects")
 		maxNodes    = fs.Int("solver-nodes", 0, "integer-solver node budget (0 = default)")
-		parallel    = fs.Int("parallel", 0, "scope worker pool size for hierarchical checks (0/1 = sequential, -1 = one per CPU); verdicts are identical at any setting")
 		jsonOut     = fs.Bool("json", false, "emit a single JSON object instead of text")
 		sample      = fs.Int("sample", 0, "additionally generate N random valid documents (text mode only)")
 		sampleNodes = fs.Int("sample-nodes", 30, "soft element bound per sampled document")
@@ -202,7 +201,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MinimizeWitness: *minWitness,
 		SearchNodes:     *searchNodes,
 		MaxSolverNodes:  *maxNodes,
-		Parallelism:     *parallel,
 		Explain:         *explain,
 		// Allocation tracking is fine here: a batch CLI accepts the two
 		// ReadMemStats stop-the-worlds per scope that a daemon cannot.

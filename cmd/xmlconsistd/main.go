@@ -47,7 +47,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "localhost:8080", "listen address (host:port; :0 picks a free port)")
 	deadline := fs.Duration("deadline", 30*time.Second, "per-check deadline (0 disables)")
 	maxInflight := fs.Int("max-inflight", 0, "maximum concurrent checks, excess rejected with 429 (0: unlimited)")
-	parallel := fs.Int("parallel", 0, "default scope worker pool size for hierarchical checks (0/1 = sequential, -1 = one per CPU); per-request options.parallelism overrides")
+	// -parallel is accepted and ignored, so scripts that still pass it
+	// keep starting the daemon.
+	fs.Int("parallel", 0, "deprecated and ignored: scope problems are solved sequentially")
 	traceDir := fs.String("trace-dir", "", "directory for per-request Chrome trace files (empty: no traces)")
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
@@ -116,7 +118,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Registry:                 telemetry.NewRegistry(""),
 		Deadline:                 *deadline,
 		MaxInflight:              *maxInflight,
-		Parallelism:              *parallel,
 		TraceDir:                 *traceDir,
 		Logger:                   logger,
 		Pprof:                    *pprofFlag,

@@ -120,14 +120,10 @@ type Options struct {
 	// row elsewhere. Check copies the rows into Result.Attribution.
 	// nil costs one nil check per subproblem.
 	Ledger *introspect.Ledger
-	// Parallelism bounds the worker pool that solves independent
-	// hierarchical scope subproblems concurrently on the relative
-	// route (Theorem 4.3 decomposition). 0 and 1 keep the sequential
-	// path (bit-for-bit the pre-parallel behavior, no extra
-	// allocations); N ≥ 2 uses up to N workers; a negative value uses
-	// GOMAXPROCS. Verdicts, certificates, and stats totals are
-	// identical to the sequential path by construction — only wall
-	// time and the order of ledger rows / span subtrees may differ.
+	// Parallelism is ignored: the Theorem 4.3 scope problems are
+	// solved by one sequential recursion.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Parallelism int
 	// ProfileLabel, when non-empty, runs the check's phases under
 	// runtime/pprof labels — ("digest", ProfileLabel, "phase",
@@ -222,8 +218,9 @@ type Stats struct {
 	// big.Rat tableau on a potential overflow.
 	FastPathLPs  int
 	RatFallbacks int
-	// Workers is the scope-worker pool size the relative route ran
-	// with (0 when the check was sequential or took another route).
+	// Workers is always 0: no check runs a scope worker pool.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Workers int
 }
 
@@ -257,9 +254,6 @@ func (s *Stats) merge(other Stats) {
 	s.Saturations += other.Saturations
 	s.FastPathLPs += other.FastPathLPs
 	s.RatFallbacks += other.RatFallbacks
-	if other.Workers > s.Workers {
-		s.Workers = other.Workers
-	}
 }
 
 // Result is the outcome of a consistency check.

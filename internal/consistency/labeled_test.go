@@ -27,8 +27,7 @@ type labeledFixture struct {
 // labeledFixtures collects every testdata DTD/constraint pair plus the
 // Figure 4 hierarchical chains of 1–6 levels (both satisfiable and
 // not), the shapes that reach every pprof wrap site: lint, prover,
-// the ilp phase, and the per-scope labels of the sequential and
-// parallel relative routes.
+// the ilp phase, and the per-scope labels of the relative route.
 func labeledFixtures(t *testing.T) []labeledFixture {
 	t.Helper()
 	dir := filepath.Join("..", "..", "testdata")
@@ -77,32 +76,30 @@ func labeledFixtures(t *testing.T) []labeledFixture {
 
 // TestProfileLabelPreservesOutcome pins that running a check under
 // pprof labels changes nothing observable: for every fixture, at
-// Parallelism 1 and 4, with and without the prover, the labeled run's
+// with and without the prover, the labeled run's
 // verdict, method, and certificate bytes match the unlabeled run's.
 func TestProfileLabelPreservesOutcome(t *testing.T) {
 	for _, fx := range labeledFixtures(t) {
-		for _, par := range []int{1, 4} {
-			for _, explain := range []bool{false, true} {
-				label := fmt.Sprintf("%s/parallel=%d/explain=%t", fx.name, par, explain)
-				opts := consistency.Options{Parallelism: par, Explain: explain}
-				plain, err := consistency.Check(fx.d, fx.set, opts)
-				if err != nil {
-					t.Fatalf("%s: unlabeled Check: %v", label, err)
-				}
-				opts.ProfileLabel = "spec-test"
-				lab, err := consistency.Check(fx.d, fx.set, opts)
-				if err != nil {
-					t.Fatalf("%s: labeled Check: %v", label, err)
-				}
-				if lab.Verdict != plain.Verdict {
-					t.Fatalf("%s: labeled verdict = %v, unlabeled = %v", label, lab.Verdict, plain.Verdict)
-				}
-				if lab.Method != plain.Method {
-					t.Errorf("%s: labeled method = %q, unlabeled = %q", label, lab.Method, plain.Method)
-				}
-				if got, want := certBytes(t, lab), certBytes(t, plain); got != want {
-					t.Errorf("%s: certificate differs\nlabeled:   %s\nunlabeled: %s", label, got, want)
-				}
+		for _, explain := range []bool{false, true} {
+			label := fmt.Sprintf("%s/explain=%t", fx.name, explain)
+			opts := consistency.Options{Explain: explain}
+			plain, err := consistency.Check(fx.d, fx.set, opts)
+			if err != nil {
+				t.Fatalf("%s: unlabeled Check: %v", label, err)
+			}
+			opts.ProfileLabel = "spec-test"
+			lab, err := consistency.Check(fx.d, fx.set, opts)
+			if err != nil {
+				t.Fatalf("%s: labeled Check: %v", label, err)
+			}
+			if lab.Verdict != plain.Verdict {
+				t.Fatalf("%s: labeled verdict = %v, unlabeled = %v", label, lab.Verdict, plain.Verdict)
+			}
+			if lab.Method != plain.Method {
+				t.Errorf("%s: labeled method = %q, unlabeled = %q", label, lab.Method, plain.Method)
+			}
+			if got, want := certBytes(t, lab), certBytes(t, plain); got != want {
+				t.Errorf("%s: certificate differs\nlabeled:   %s\nunlabeled: %s", label, got, want)
 			}
 		}
 	}

@@ -78,19 +78,7 @@ func checkRelative(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 	}
 	res.Method = "hierarchical scope decomposition (Theorem 4.3)"
 	h := &hierChecker{d: d, set: set, opts: opts, contexts: scope.ContextTypes(d, set), memo: map[string]hierScope{}}
-	var root hierScope
-	if workers := resolveParallelism(opts.Parallelism); workers >= 2 {
-		// The fan-out builds its own checker and hands the decided memo
-		// back, rather than borrowing h: passing h into the pool would
-		// make this stack-allocated checker escape and cost the
-		// sequential hot path a heap allocation it never needed.
-		var memo map[string]hierScope
-		root, memo, h.stats = runParallelScopes(d, set, opts, h.contexts, workers)
-		h.memo = memo
-		res.Stats.Workers = workers
-	} else {
-		root = h.scope(map[string]bool{d.Root: true}, d.Root)
-	}
+	root := h.scope(map[string]bool{d.Root: true}, d.Root)
 	res.Stats.Scopes = len(h.memo)
 	res.Stats.merge(h.stats)
 	sp.SetInt("scopes", int64(len(h.memo)))
@@ -180,34 +168,23 @@ func (h *hierChecker) scope(chain map[string]bool, tau string) hierScope {
 	var out hierScope
 	labeled(h.opts, func() { out = h.solveScope(chain, tau, key, sd, exits, banned, undecided) },
 		"phase", "ilp", "scope", key)
-	return out
-}
-
-// solveScope decides one (chain, τ) scope problem on the sequential
-// path and memoizes the outcome. The exit recursion has already run;
-// banned lists the exits proved inconsistent and undecided the exits
-// that came back Unknown.
-func (h *hierChecker) solveScope(chain map[string]bool, tau, key string, sd *dtd.DTD, exits []string, banned map[string]bool, undecided []string) hierScope {
-	out := solveScopeProblem(h, h.opts, &h.stats, len(h.memo), chain, tau, key, sd, exits, banned, undecided)
 	h.memo[key] = out
 	return out
 }
 
-// solveScopeProblem encodes and decides one (chain, τ) scope problem
-// and records its ledger row. It touches no shared checker state — ILP
-// effort accumulates into st, and the exit recursion's outcome arrives
-// as data (banned and undecided) — so the sequential recursion and the
-// parallel fan-out run the exact same decision logic and produce
-// identical hierScope outcomes.
+// solveScope encodes and decides one (chain, τ) scope problem and
+// records its ledger row. The exit recursion has already run; banned
+// lists the exits proved inconsistent and undecided the exits that
+// came back Unknown.
 //
 // The probe starts after the exit recursion, so a parent scope's
 // row covers its own encode+solve only — children account for
 // themselves and the ledger's total stays the real wall time. The
 // live scope position is published here too: the exits recursed into
 // earlier moved it, so re-mark this scope before its solve runs.
-func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, chain map[string]bool, tau, key string, sd *dtd.DTD, exits []string, banned map[string]bool, undecided []string) hierScope {
-	opts.Progress.SetScope(scopeIndex, key)
-	probe := beginProbe(opts.Ledger)
+func (h *hierChecker) solveScope(chain map[string]bool, tau, key string, sd *dtd.DTD, exits []string, banned map[string]bool, undecided []string) hierScope {
+	h.opts.Progress.SetScope(len(h.memo), key)
+	probe := beginProbe(h.opts.Ledger)
 	local, forceZero := scope.LocalSet(h.d, sd, h.set, chain, tau)
 	enc, err := cardinality.EncodeAbsolute(sd, local)
 	if err != nil {
@@ -222,9 +199,9 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, 
 			enc.Flow.Sys.AddConst(enc.Flow.Vars[fn], 0)
 		}
 	}
-	ilpRes, cuts := decideFlow(enc.Flow, opts)
-	st.addILP(ilpRes.Stats)
-	st.Cuts += cuts
+	ilpRes, cuts := decideFlow(enc.Flow, h.opts)
+	h.stats.addILP(ilpRes.Stats)
+	h.stats.Cuts += cuts
 	scopeStats, scopeCuts := ilpRes.Stats, cuts
 	out := hierScope{
 		verdict: ilpRes.Verdict,
@@ -244,9 +221,9 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, 
 				enc.Flow.Sys.AddConst(enc.Flow.Vars[fn], 0)
 			}
 		}
-		retry, cuts2 := cardinality.DecideFlow(enc.Flow, opts.ILP)
-		st.addILP(retry.Stats)
-		st.Cuts += cuts2
+		retry, cuts2 := cardinality.DecideFlow(enc.Flow, h.opts.ILP)
+		h.stats.addILP(retry.Stats)
+		h.stats.Cuts += cuts2
 		scopeStats.Merge(retry.Stats)
 		scopeCuts += cuts2
 		if retry.Verdict == ilp.Sat {

@@ -51,12 +51,6 @@ type Progress struct {
 	// re-enter the search, so a value above 1 means the check is a
 	// multi-solve pipeline.
 	Restarts int `json:"restarts"`
-	// Workers is the number of scope workers active at the sample and
-	// PeakWorkers the most that were ever active together — both zero
-	// on a sequential check, both stamped at Snapshot time so a
-	// reader polling a parallel check always sees the live values.
-	Workers     int `json:"workers,omitempty"`
-	PeakWorkers int `json:"peak_workers,omitempty"`
 	// BoundLo and BoundHi are the incumbent bounds on the total
 	// document size (sum of all variable bounds) at the sampled node;
 	// BoundHi is -1 while some variable is still unbounded.
@@ -80,10 +74,6 @@ type Publisher struct {
 	// without fabricating a full snapshot.
 	loc      atomic.Pointer[location]
 	restarts atomic.Int64
-	// workers/peakWorkers track the parallel scope fan-out: how many
-	// scope workers are solving right now and the high-water mark.
-	workers     atomic.Int64
-	peakWorkers atomic.Int64
 }
 
 type location struct {
@@ -136,30 +126,6 @@ func (p *Publisher) Restart() {
 	p.restarts.Add(1)
 }
 
-// WorkerStart records one scope worker becoming active and maintains
-// the high-water mark. The parallel fan-out calls it as each scope
-// task begins solving.
-func (p *Publisher) WorkerStart() {
-	if p == nil {
-		return
-	}
-	n := p.workers.Add(1)
-	for {
-		peak := p.peakWorkers.Load()
-		if n <= peak || p.peakWorkers.CompareAndSwap(peak, n) {
-			return
-		}
-	}
-}
-
-// WorkerDone records one scope worker finishing.
-func (p *Publisher) WorkerDone() {
-	if p == nil {
-		return
-	}
-	p.workers.Add(-1)
-}
-
 // Publish stores a new snapshot. The publisher stamps the current
 // phase/scope location, the restart count, and the elapsed time; the
 // caller fills in the search-shaped fields. The stored snapshot is
@@ -187,10 +153,7 @@ func (p *Publisher) Snapshot() (Progress, bool) {
 		return Progress{}, false
 	}
 	if cur := p.cur.Load(); cur != nil {
-		pr := *cur
-		pr.Workers = int(p.workers.Load())
-		pr.PeakWorkers = int(p.peakWorkers.Load())
-		return pr, true
+		return *cur, true
 	}
 	var pr Progress
 	if loc := p.loc.Load(); loc != nil {
@@ -199,8 +162,6 @@ func (p *Publisher) Snapshot() (Progress, bool) {
 		pr.ScopeKey = loc.scopeKey
 	}
 	pr.Restarts = int(p.restarts.Load())
-	pr.Workers = int(p.workers.Load())
-	pr.PeakWorkers = int(p.peakWorkers.Load())
 	pr.ElapsedUS = time.Since(p.start).Microseconds()
 	return pr, true
 }

@@ -304,64 +304,6 @@ func BucketLo(i int) int64 {
 	return int64(1) << (i - 1)
 }
 
-// Absorb grafts a donor recorder's spans, counters, and histograms
-// into r: the donor's root spans become children of r's innermost
-// open span (or new roots), counters add, histograms merge. The
-// parallel scope fan-out gives each worker its own recorder shard and
-// absorbs the shards back, so concurrent workers never contend on one
-// span stack and the final trace still reads as one tree. The donor
-// must be quiescent (its work finished) and is reset by the call;
-// absorbing a nil donor, into a nil r, or a recorder into itself all
-// no-op. Span timestamps need no adjustment — both recorders anchor
-// offsets against real wall-clock epochs. Events are not transferred:
-// a worker shard records no ring, so per-worker event history is
-// intentionally traded for an uncontended hot path.
-func (r *Recorder) Absorb(donor *Recorder) {
-	if r == nil || donor == nil || r == donor {
-		return
-	}
-	donor.mu.Lock()
-	roots := donor.roots
-	counters := donor.counters
-	hists := donor.hists
-	donor.roots = nil
-	donor.stack = nil
-	donor.counters = map[string]int64{}
-	donor.hists = map[string]*Histogram{}
-	donor.mu.Unlock()
-
-	// Reparent so any late annotation on an absorbed span locks r.
-	var rehome func(s *Span)
-	rehome = func(s *Span) {
-		s.rec = r
-		for _, c := range s.children {
-			rehome(c)
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range roots {
-		rehome(s)
-	}
-	if n := len(r.stack); n > 0 {
-		parent := r.stack[n-1]
-		parent.children = append(parent.children, roots...)
-	} else {
-		r.roots = append(r.roots, roots...)
-	}
-	for k, v := range counters {
-		r.counters[k] += v
-	}
-	for k, h := range hists {
-		dst := r.hists[k]
-		if dst == nil {
-			dst = &Histogram{}
-			r.hists[k] = dst
-		}
-		dst.Merge(*h)
-	}
-}
-
 // Observe records one value into the named histogram.
 func (r *Recorder) Observe(name string, v int64) {
 	if r == nil {

@@ -42,7 +42,6 @@ type cacheKey struct {
 	digest          string
 	maxSolverNodes  int
 	maxValue        int64
-	parallelism     int
 	skipWitness     bool
 	minimizeWitness bool
 	skipLint        bool
@@ -62,7 +61,7 @@ func (k cacheKey) fingerprint() uint64 {
 			flags |= 1 << i
 		}
 	}
-	for _, v := range [...]uint64{uint64(k.maxSolverNodes), uint64(k.maxValue), uint64(k.parallelism), flags} {
+	for _, v := range [...]uint64{uint64(k.maxSolverNodes), uint64(k.maxValue), flags} {
 		for i := 0; i < 64; i += 8 {
 			h = (h ^ (v >> i & 0xff)) * prime
 		}
@@ -254,7 +253,6 @@ func (s *Server) decide(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.O
 		digest:          rq.SpecDigest,
 		maxSolverNodes:  opts.MaxSolverNodes,
 		maxValue:        opts.MaxValue,
-		parallelism:     opts.Parallelism,
 		skipWitness:     opts.SkipWitness,
 		minimizeWitness: opts.MinimizeWitness,
 		skipLint:        opts.SkipLint,

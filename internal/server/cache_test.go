@@ -411,7 +411,7 @@ var fingerprintSink uint64
 
 func TestCacheMissPathDoesNotAllocate(t *testing.T) {
 	c := newVerdictCache(cacheBudget)
-	key := cacheKey{digest: "spec-0123456789abcdef", maxSolverNodes: 5000, parallelism: -1, skipLint: true}
+	key := cacheKey{digest: "spec-0123456789abcdef", maxSolverNodes: 5000, skipLint: true}
 	if n := testing.AllocsPerRun(100, func() {
 		fingerprintSink = key.fingerprint()
 		if c.get(key) != nil {

@@ -17,7 +17,25 @@ type ctxKey int
 const (
 	requestIDKey ctxKey = iota
 	traceIDKey
+	sloKey
 )
+
+// sloMark is how a spec route asks the middleware to feed the rolling
+// SLO windows: the route sets observe (and failed, for an aborted
+// check) once the request counts as a check, and the middleware
+// observes the latency the client saw — from its own entry until the
+// response is written — rather than the decision time alone.
+type sloMark struct {
+	observe, failed bool
+}
+
+// markSLO flags the request as one rolling-window observation. Outside
+// the middleware (no mark in the context) it does nothing.
+func markSLO(ctx context.Context, failed bool) {
+	if m, ok := ctx.Value(sloKey).(*sloMark); ok {
+		m.observe, m.failed = true, failed
+	}
+}
 
 // requestID returns the ID the middleware assigned, or "-" outside a
 // request context (direct handler tests).
@@ -53,8 +71,9 @@ func (sr *statusRecorder) WriteHeader(code int) {
 // check's span tree), W3C trace-context propagation (an inbound
 // traceparent is parsed — or a fresh trace ID generated — and echoed
 // back with this server's span ID), a structured log line, latency
-// accounting with a trace exemplar, and panic recovery into a 500
-// plus a counter and a flight bundle.
+// accounting with a trace exemplar, the rolling SLO windows for the
+// requests the spec routes mark, and panic recovery into a 500 plus a
+// counter and a flight bundle.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("%08x", s.reqSeq.Add(1))
@@ -72,6 +91,8 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 
 		ctx := context.WithValue(r.Context(), requestIDKey, id)
 		ctx = context.WithValue(ctx, traceIDKey, tid)
+		slo := &sloMark{}
+		ctx = context.WithValue(ctx, sloKey, slo)
 		r = r.WithContext(ctx)
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
@@ -92,6 +113,9 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				s.flight.Observe(rq.flightRequest())
 			}
 			elapsed := time.Since(start)
+			if slo.observe {
+				s.rolling.Observe(elapsed.Microseconds(), slo.failed)
+			}
 			s.reg.Add("server.requests", 1)
 			s.reg.Observe("server.request_us", elapsed.Microseconds())
 			s.reg.Exemplar("server.request_us", elapsed.Microseconds(), tid)

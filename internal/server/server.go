@@ -23,9 +23,8 @@
 // search promptly and leaks no goroutines.
 //
 // /check answers repeated specs from a verdict cache. It is keyed by
-// the spec digest and the effective decision options (max solver
-// nodes, max value, skip/minimize witness, skip lint, and the
-// parallelism after the server default is applied). A hit decodes the
+// the spec digest and the decision options (max solver nodes, max
+// value, skip/minimize witness, and skip lint). A hit decodes the
 // stored certificate and re-proves it with VerifyCertificate against
 // the request's own parsed spec, under a server.cache span with a
 // verify child; the digest is a 64-bit hash and could collide, so a
@@ -52,12 +51,15 @@
 // recorder, publisher, elapsed time, status, abort, verdict), and a
 // single finish step feeds it to every sink: the registry and its
 // latency exemplars, the Chrome trace file in Config.TraceDir, the
-// rolling 1m/5m/1h windows that drive the rate/latency/burn-rate
-// gauges, the audit log (request ID, trace ID, spec digest, verdict,
-// phases), and the flight recorder's bounded ring — which, on a
-// trigger (slow threshold, 5xx/panic, abort, sampled inconsistent
-// verdict), dumps a rate-limited correlated bundle into
-// Config.QuarantineDir so anomalous checks can be replayed offline.
+// audit log (request ID, trace ID, spec digest, verdict, phases), and
+// the flight recorder's bounded ring — which, on a trigger (slow
+// threshold, 5xx/panic, abort, sampled inconsistent verdict), dumps a
+// rate-limited correlated bundle into Config.QuarantineDir so
+// anomalous checks can be replayed offline. The rolling 1m/5m/1h
+// windows that drive the rate/latency/burn-rate gauges are fed by the
+// middleware once the response is written, so they see the latency
+// the client saw: body read, decode, parse, decision, audit, and
+// response write.
 package server
 
 import (
@@ -111,10 +113,9 @@ type Config struct {
 	// MaxRequestBytes bounds the /check and /explain request bodies
 	// (zero: 8 MiB).
 	MaxRequestBytes int64
-	// Parallelism is the default scope worker pool size for
-	// hierarchical checks (0/1: sequential; negative: one worker per
-	// CPU). A request's options.parallelism overrides it. Verdicts
-	// are identical at any setting; only wall time changes.
+	// Parallelism is ignored: scope problems are solved sequentially.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Parallelism int
 	// Audit receives one event per check. When nil, NewServer creates
 	// an in-memory log (ring and hot-digest table only, no file) so the
@@ -301,10 +302,6 @@ type CheckOptions struct {
 	MinimizeWitness bool  `json:"minimize_witness,omitempty"`
 	SkipLint        bool  `json:"skip_lint,omitempty"`
 	SkipCertificate bool  `json:"skip_certificate,omitempty"`
-	// Parallelism sets the scope worker pool size for hierarchical
-	// checks (0: the server default; 1: sequential; negative: one
-	// worker per CPU). Verdicts are identical at any setting.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Attribution asks for the per-scope cost ledger in the response.
 	// The server always runs the (time-only) ledger for its audit
 	// trail; this flag only controls response inclusion.
@@ -590,9 +587,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, o op) {
 	spec.SetObserver(rq.rec)
 
 	opts := rq.req.Options.internal()
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
 	opts.Progress = rq.pub
 	opts.ProfileLabel = rq.SpecDigest
 	opts.Attribution = opts.Attribution || o.attribution
@@ -613,11 +607,13 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, o op) {
 	if err != nil {
 		var msg string
 		rq.Status, rq.Abort, msg = s.classifyAbort(o.name, err, rq.elapsed)
+		markSLO(r.Context(), true)
 		s.finish(rq)
 		s.writeError(w, rq.RequestID, rq.TraceID, rq.Status, rq.Abort, msg)
 		return
 	}
 	rq.Status = http.StatusOK
+	markSLO(r.Context(), false)
 	s.finish(rq)
 	s.writeJSON(w, http.StatusOK, respond())
 }
@@ -654,7 +650,7 @@ func (s *Server) classifyAbort(name string, err error, elapsed time.Duration) (s
 }
 
 // finish hands a finished request to every sink: the registry and its
-// latency exemplar, the trace file, the rolling windows, the audit log,
+// latency exemplar, the trace file, the audit log,
 // and the flight recorder — the single capture path for slow, errored,
 // aborted, and sampled inconsistent requests — plus the slow-check
 // accounting. The recorder's shared rate limiter and
@@ -665,7 +661,6 @@ func (s *Server) finish(rq *request) {
 	s.reg.Absorb(rq.rec)
 	s.reg.Exemplar(rq.op.latency, rq.ElapsedUS, rq.TraceID)
 	s.writeTraceFile(rq.RequestID, rq.rec)
-	s.rolling.Observe(rq.ElapsedUS, rq.Abort != "")
 	rq.Phases = auditPhases(rq.rec)
 	s.audit.Record(rq.Event)
 	if s.cfg.SlowThreshold > 0 && rq.elapsed >= s.cfg.SlowThreshold {
@@ -751,8 +746,8 @@ func (s *Server) checkContext(ctx context.Context, deadlineMS int64) (context.Co
 }
 
 // internal converts the JSON options to facade options. serve then
-// attaches the request's progress publisher, profile label, and default
-// parallelism, and the check route forces the attribution ledger on.
+// attaches the request's progress publisher and profile label, and the
+// check route forces the attribution ledger on.
 func (o CheckOptions) internal() *xmlspec.Options {
 	return &xmlspec.Options{
 		MaxSolverNodes:  o.MaxSolverNodes,
@@ -761,7 +756,6 @@ func (o CheckOptions) internal() *xmlspec.Options {
 		MinimizeWitness: o.MinimizeWitness,
 		SkipLint:        o.SkipLint,
 		SkipCertificate: o.SkipCertificate,
-		Parallelism:     o.Parallelism,
 		Attribution:     o.Attribution,
 	}
 }

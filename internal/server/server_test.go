@@ -757,6 +757,55 @@ func TestRollingAndSLOMetricsExposed(t *testing.T) {
 	}
 }
 
+// stallingBody is a request body whose first Read stalls, the way a
+// slow client's upload does.
+type stallingBody struct {
+	r       io.Reader
+	stall   time.Duration
+	stalled bool
+}
+
+func (b *stallingBody) Read(p []byte) (int, error) {
+	if !b.stalled {
+		b.stalled = true
+		time.Sleep(b.stall)
+	}
+	return b.r.Read(p)
+}
+
+// TestSLOWindowSeesClientLatency pins that the rolling SLO windows
+// measure a check from the middleware's entry until its response is
+// written: a 20ms body upload against a 10ms target must count the
+// check as slow, even though the decision itself (elapsed_us) is fast.
+func TestSLOWindowSeesClientLatency(t *testing.T) {
+	s := NewServer(Config{Logger: quietLogger(), SLOTarget: 10 * time.Millisecond})
+	body, err := json.Marshal(CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/check",
+		&stallingBody{r: bytes.NewReader(body), stall: 20 * time.Millisecond})
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	var cr CheckResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if cr.ElapsedUS >= 20000 {
+		t.Errorf("elapsed_us = %d, want the decision time alone (under the 20ms body stall)", cr.ElapsedUS)
+	}
+	ws := s.rolling.Window(time.Minute)
+	if ws.Count != 1 || ws.Errors != 0 || ws.Slow != 1 {
+		t.Errorf("1m window = %+v, want one slow check", ws)
+	}
+	if ws.P50 < 10000 {
+		t.Errorf("1m window p50 = %dµs, want above the 10ms target", ws.P50)
+	}
+}
+
 func TestSlowCaptureQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{

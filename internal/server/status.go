@@ -56,11 +56,6 @@ type StatusInflight struct {
 	Restarts int   `json:"restarts,omitempty"`
 	BoundLo  int64 `json:"bound_lo,omitempty"`
 	BoundHi  int64 `json:"bound_hi,omitempty"`
-	// Workers is the number of scope workers solving right now and
-	// PeakWorkers the most ever active together; both zero on a
-	// sequential check.
-	Workers     int `json:"workers,omitempty"`
-	PeakWorkers int `json:"peak_workers,omitempty"`
 }
 
 // Bounds renders the incumbent bound interval for the status page,
@@ -212,8 +207,6 @@ func (s *Server) inflightRows() []StatusInflight {
 			row.Restarts = pr.Restarts
 			row.BoundLo = pr.BoundLo
 			row.BoundHi = pr.BoundHi
-			row.Workers = pr.Workers
-			row.PeakWorkers = pr.PeakWorkers
 		}
 		rows = append(rows, row)
 	}
@@ -282,9 +275,9 @@ version {{.Build.Version}} ({{.Build.Revision}}, {{.Build.GoVersion}})
 <h2>In flight ({{len .Inflight}})</h2>
 {{if .Inflight}}
 <table>
-<tr><th>request</th><th>trace</th><th>spec digest</th><th>running ms</th><th>phase</th><th>scope</th><th>nodes</th><th>pivots</th><th>restarts</th><th>workers</th><th>bounds</th></tr>
+<tr><th>request</th><th>trace</th><th>spec digest</th><th>running ms</th><th>phase</th><th>scope</th><th>nodes</th><th>pivots</th><th>restarts</th><th>bounds</th></tr>
 {{range .Inflight}}
-<tr><td>{{.RequestID}}</td><td>{{.TraceID}}</td><td>{{.SpecDigest}}</td><td>{{.ElapsedMS}}</td><td>{{.Phase}}</td><td>{{if .ScopeKey}}#{{.ScopeIndex}} {{.ScopeKey}}{{end}}</td><td>{{.Nodes}}</td><td>{{.Pivots}}</td><td>{{.Restarts}}</td><td>{{if .PeakWorkers}}{{.Workers}}/{{.PeakWorkers}} peak{{end}}</td><td>{{.Bounds}}</td></tr>
+<tr><td>{{.RequestID}}</td><td>{{.TraceID}}</td><td>{{.SpecDigest}}</td><td>{{.ElapsedMS}}</td><td>{{.Phase}}</td><td>{{if .ScopeKey}}#{{.ScopeIndex}} {{.ScopeKey}}{{end}}</td><td>{{.Nodes}}</td><td>{{.Pivots}}</td><td>{{.Restarts}}</td><td>{{.Bounds}}</td></tr>
 {{end}}
 </table>
 <p class="muted">live solver progress, sampled lock-free; also at <a href="/debug/inflight">/debug/inflight</a></p>

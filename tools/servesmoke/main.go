@@ -43,12 +43,7 @@
 //  12. restart the daemon with a 1ns slow threshold, drive three
 //     checks (the first under a known traceparent), and require
 //     exactly one flight bundle, named slow-<trace_id> after that
-//     known trace (the shared capture rate limit holds);
-//  13. decide a hard Figure 3 check and a hard hierarchical (Figure 4
-//     QBF) check on a sequential daemon, then again on one restarted
-//     with -parallel 4: the verdicts must match, and /debug/inflight
-//     must report ≥2 active scope workers while the hierarchical
-//     check is in flight.
+//     known trace (the shared capture rate limit holds).
 //
 // Usage: servesmoke -bin ./bin/xmlconsistd
 //
@@ -119,17 +114,8 @@ type daemon struct {
 // startDaemon launches the binary with the given extra flags and waits
 // for its address announcement.
 func startDaemon(bin string, extra ...string) (*daemon, error) {
-	return startDaemonEnv(bin, nil, extra...)
-}
-
-// startDaemonEnv is startDaemon with extra environment variables
-// appended to the inherited environment.
-func startDaemonEnv(bin string, env []string, extra ...string) (*daemon, error) {
 	args := append([]string{"-addr", "127.0.0.1:0", "-deadline", "10s"}, extra...)
 	cmd := exec.Command(bin, args...)
-	if len(env) > 0 {
-		cmd.Env = append(os.Environ(), env...)
-	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -262,10 +248,7 @@ func smoke(bin string) error {
 	}
 	fmt.Println("servesmoke: quarantine holds exactly the deadline abort's flight bundle")
 
-	if err := slowCaptureRun(bin, filepath.Join(work, "q2")); err != nil {
-		return err
-	}
-	return parallelRun(bin)
+	return slowCaptureRun(bin, filepath.Join(work, "q2"))
 }
 
 func checkHealthz(base string) error {
@@ -961,128 +944,5 @@ func slowCaptureRun(bin, quarantine string) error {
 		return fmt.Errorf("flight bundle %s carries no goroutine profile", bundle)
 	}
 	fmt.Printf("servesmoke: flight capture ok (one pair named after trace %s)\n", slowTraceID)
-	return nil
-}
-
-// parallelRun closes the loop on the scope worker pool: the same hard
-// specs are decided by a sequential daemon and by one restarted with
-// -parallel 4 (under GOMAXPROCS=4, so the pool has scheduler threads
-// to spread over), the verdicts must agree, and while the parallel
-// daemon grinds the hierarchical check /debug/inflight must report
-// multiple active scope workers — proving the pool actually fans out
-// in the serving path, not just in unit tests.
-func parallelRun(bin string) error {
-	fig3 := experiments.Fig3Regular(rand.New(rand.NewSource(7)), 8)
-	hier := experiments.Fig4DLocal(rand.New(rand.NewSource(7)), 6)
-
-	post := func(base string, in experiments.Instance) (string, error) {
-		resp, out, err := postCheck(base, map[string]any{
-			"dtd":         in.D.String(),
-			"constraints": in.Set.String(),
-			"deadline_ms": 30000,
-			"options":     map[string]any{"skip_witness": true},
-		})
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("check status %d: %s", resp.StatusCode, out)
-		}
-		var cr struct {
-			Verdict string `json:"verdict"`
-		}
-		if err := json.Unmarshal(out, &cr); err != nil {
-			return "", err
-		}
-		return cr.Verdict, nil
-	}
-
-	seqd, err := startDaemon(bin)
-	if err != nil {
-		return err
-	}
-	defer seqd.cmd.Process.Kill()
-	seqFig3, err := post(seqd.base, fig3)
-	if err != nil {
-		return fmt.Errorf("sequential fig3 check: %w", err)
-	}
-	seqHier, err := post(seqd.base, hier)
-	if err != nil {
-		return fmt.Errorf("sequential hierarchical check: %w", err)
-	}
-	if err := seqd.shutdown(); err != nil {
-		return err
-	}
-
-	pard, err := startDaemonEnv(bin, []string{"GOMAXPROCS=4"}, "-parallel", "4")
-	if err != nil {
-		return err
-	}
-	defer pard.cmd.Process.Kill()
-
-	parFig3, err := post(pard.base, fig3)
-	if err != nil {
-		return fmt.Errorf("parallel fig3 check: %w", err)
-	}
-	if parFig3 != seqFig3 {
-		return fmt.Errorf("fig3 verdict %q under -parallel, sequential daemon said %q", parFig3, seqFig3)
-	}
-
-	done := make(chan struct{})
-	var parHier string
-	var parErr error
-	go func() {
-		defer close(done)
-		parHier, parErr = post(pard.base, hier)
-	}()
-
-	type row struct {
-		Workers     int `json:"workers"`
-		PeakWorkers int `json:"peak_workers"`
-	}
-	peak := 0
-	deadline := time.Now().Add(30 * time.Second)
-poll:
-	for peak < 2 && time.Now().Before(deadline) {
-		select {
-		case <-done:
-			break poll
-		default:
-		}
-		resp, err := http.Get(pard.base + "/debug/inflight")
-		if err != nil {
-			return fmt.Errorf("GET /debug/inflight: %w", err)
-		}
-		var ir struct {
-			Inflight []row `json:"inflight"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&ir)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("decoding /debug/inflight: %w", err)
-		}
-		for _, r := range ir.Inflight {
-			if r.PeakWorkers > peak {
-				peak = r.PeakWorkers
-			}
-		}
-		if peak < 2 {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	<-done
-	if parErr != nil {
-		return fmt.Errorf("parallel hierarchical check: %w", parErr)
-	}
-	if parHier != seqHier {
-		return fmt.Errorf("hierarchical verdict %q under -parallel, sequential daemon said %q", parHier, seqHier)
-	}
-	if peak < 2 {
-		return fmt.Errorf("/debug/inflight never reported ≥2 active scope workers during the parallel check (peak %d)", peak)
-	}
-	if err := pard.shutdown(); err != nil {
-		return err
-	}
-	fmt.Printf("servesmoke: parallel ok (verdicts match sequential, peak %d scope workers in flight)\n", peak)
 	return nil
 }

@@ -155,14 +155,6 @@ type Options struct {
 	// DisableLP turns off simplex relaxation pruning (diagnostics and
 	// ablation benchmarks only).
 	DisableLP bool
-	// Parallelism bounds the worker pool that solves independent
-	// hierarchical scope subproblems concurrently on the relative
-	// route. 0 or 1 run sequentially; N ≥ 2 allows up to N concurrent
-	// scope solves; negative means one worker per available CPU.
-	// Verdicts, certificates, and stats are identical to the
-	// sequential run by construction — parallelism changes wall time
-	// only.
-	Parallelism int
 	// SkipLint disables the static-analysis prepass that short-circuits
 	// to Inconsistent when a sound speclint rule fires.
 	SkipLint bool
@@ -213,7 +205,6 @@ func (o *Options) internal(rec *obs.Recorder) consistency.Options {
 		SkipWitness:     o.SkipWitness,
 		MinimizeWitness: o.MinimizeWitness,
 		BruteForce:      bruteforce.Options{MaxNodes: o.SearchNodes},
-		Parallelism:     o.Parallelism,
 		Obs:             rec,
 		SkipLint:        o.SkipLint,
 		SkipCertificate: o.SkipCertificate,
@@ -244,9 +235,6 @@ type Stats struct {
 	// completed and RatFallbacks those that overflowed onto the exact
 	// big.Rat tableau (FastPathLPs + RatFallbacks == LPCalls).
 	FastPathLPs, RatFallbacks int
-	// Workers is the scope worker pool size used on the relative route
-	// (0 when the check ran sequentially or took another route).
-	Workers int
 	// LintFindings counts the diagnostics the static-analysis prepass
 	// reported (zero when SkipLint is set or the prepass found
 	// nothing).
@@ -378,7 +366,6 @@ func convertResult(res consistency.Result) Result {
 			Branches:           res.Stats.Branches,
 			FastPathLPs:        res.Stats.FastPathLPs,
 			RatFallbacks:       res.Stats.RatFallbacks,
-			Workers:            res.Stats.Workers,
 			LintFindings:       res.Stats.LintFindings,
 			ProverFacts:        res.Stats.ProverFacts,
 			ProverShortCircuit: res.Stats.ProverShortCircuit,

@@ -203,6 +203,19 @@ func TestOptionsPlumbing(t *testing.T) {
 	if res.Witness != "" {
 		t.Error("SkipWitness ignored")
 	}
+
+	// The facade's stats carry the solver's LP accounting through.
+	lib, err := Parse(load(t, "library.dtd"), load(t, "library.keys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = lib.Consistent(&Options{SkipLint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.Scopes == 0 || st.FastPathLPs+st.RatFallbacks != st.LPCalls {
+		t.Errorf("stats %+v: want scopes and FastPathLPs+RatFallbacks == LPCalls", st)
+	}
 }
 
 func TestEquivalentTo(t *testing.T) {
