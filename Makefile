@@ -119,10 +119,12 @@ prove-smoke:
 # gates runs the performance gates on the code under test, without the
 # race detector (whose instrumentation shifts allocation counts and
 # slows checks past any ceiling): the allocation pins on the
-# obs-disabled library check, one encode per family, and one verified
-# cache hit's scope vectors (TestLibraryCheckAllocs, TestEncodeAllocs,
-# TestVerifyScopeVectorsAllocs), the best-of-k wall-time ceilings on
-# the hard Figure 3/4 instances (TestCheckCeilings), and the
-# deterministic int64 fast-path sentinel (TestCeilingFastPathSentinel).
+# obs-disabled library check, one encode per family, one verified
+# cache hit's scope vectors, and one explanation of each prover-heavy
+# explain kind (TestLibraryCheckAllocs, TestEncodeAllocs,
+# TestVerifyScopeVectorsAllocs, TestExplainAllocs), the best-of-k
+# wall-time ceilings on the hard Figure 3/4 instances
+# (TestCheckCeilings), and the deterministic int64 fast-path sentinel
+# (TestCeilingFastPathSentinel).
 gates:
-	$(GO) test -count=1 -run 'Allocs$$|Ceiling' . ./internal/cardinality ./internal/certificate
+	$(GO) test -count=1 -run 'Allocs$$|Ceiling' . ./internal/cardinality ./internal/certificate ./internal/consistency

@@ -295,7 +295,14 @@ func (r *Result) conclude(v Verdict, cert *certificate.Certificate) {
 
 // Check validates and decides a specification.
 func Check(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
-	res, err := dispatch(d, set, opts)
+	return checkWith(d, set, opts, nil)
+}
+
+// checkWith is Check with the prover's DTD analysis supplied by the caller
+// (nil: a fresh one), so Explain's first decision and its minimizer
+// share the folds.
+func checkWith(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.Analysis) (Result, error) {
+	res, err := dispatch(d, set, opts, analysis)
 	if err != nil {
 		return res, err
 	}
@@ -322,8 +329,9 @@ func CheckContext(ctx context.Context, d *dtd.DTD, set *constraint.Set, opts Opt
 }
 
 // dispatch is the decision core behind Check; it reports its result
-// without the final context gate.
-func dispatch(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
+// without the final context gate. analysis, when non-nil, is the
+// prover's DTD analysis of d for the opts.Explain saturation.
+func dispatch(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.Analysis) (Result, error) {
 	if err := d.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -359,8 +367,11 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
 	if opts.Explain {
 		opts.Progress.SetPhase("prover")
 		psp := opts.Obs.Start("prover")
+		if analysis == nil {
+			analysis = prover.Analyze(d)
+		}
 		var out prover.Outcome
-		labeled(opts, func() { out = prover.Saturate(d, set) }, "phase", "prover")
+		labeled(opts, func() { out = analysis.Saturate(set) }, "phase", "prover")
 		res.Stats.ProverFacts = out.Facts
 		if psp != nil {
 			psp.SetInt("facts", int64(out.Facts))

@@ -81,7 +81,10 @@ func Explain(d *dtd.DTD, set *constraint.Set, opts Options) (Explanation, error)
 	opts.SkipWitness = true
 	opts.Explain = true
 	ex := Explanation{}
-	res, err := Check(d, set, opts)
+	// One DTD analysis serves the first decision's saturation and every
+	// saturation of the minimizer.
+	analysis := prover.Analyze(d)
+	res, err := checkWith(d, set, opts, analysis)
 	if err != nil {
 		return ex, err
 	}
@@ -98,7 +101,7 @@ func Explain(d *dtd.DTD, set *constraint.Set, opts Options) (Explanation, error)
 		return ex, nil
 	}
 
-	m := newMinimizer(d, set, opts)
+	m := newMinimizer(d, set, opts, analysis)
 	core := m.shrink(allIndices(set))
 
 	ex.Core = core
@@ -150,7 +153,7 @@ type decision struct {
 	derivation []prover.Step
 }
 
-func newMinimizer(d *dtd.DTD, set *constraint.Set, opts Options) *minimizer {
+func newMinimizer(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.Analysis) *minimizer {
 	opts.Explain = false // subsets run the plain pipeline; we saturate explicitly
 	opts.SkipWitness = true
 	opts.SkipCertificate = true
@@ -158,7 +161,7 @@ func newMinimizer(d *dtd.DTD, set *constraint.Set, opts Options) *minimizer {
 		d:        d,
 		set:      set,
 		opts:     opts,
-		analysis: prover.Analyze(d),
+		analysis: analysis,
 		decided:  map[string]decision{},
 		key:      make([]byte, (prover.ConstraintCount(set)+7)/8),
 	}

@@ -112,6 +112,8 @@ type Request struct {
 	Abort  string
 	// Verdict is the decided verdict ("" when none was reached).
 	Verdict string
+	// Elapsed is the request's latency as its client saw it, from the
+	// server's entry; the slow trigger compares it.
 	Elapsed time.Duration
 	// Rec is the request's recorder; its event stream fills the ring
 	// entry and the bundle's Chrome trace. May be nil (panic paths).

@@ -18,87 +18,218 @@ import (
 // minimizer re-saturates a subset per candidate) builds one Analysis
 // and pays for each fold once.
 //
+// Element types are numbered in d.Names order, and every type-level
+// table is a flat slice indexed by those ids (DESIGN.md §4, item 7,
+// describes the layout).
+//
 // An Analysis is not safe for concurrent use: its memos fill in as
 // runs consult them.
 type Analysis struct {
 	d         *dtd.DTD
 	recursive bool
+	ids       map[string]int32 // type name → id (index in d.Names)
+	root      int32
 
-	counter   *cardinality.Counter
-	occ       map[[2]string]occRange
-	parentsOf map[string][]string
-	diff      map[[2]string]map[string]int
-	reach     map[string]map[string]bool
+	counter *cardinality.Counter
+	// bounds[row][τ] memoizes the count bounds of τ at a scope row:
+	// row 0 is the whole document, row σ+1 the content of a σ node.
+	// Rows are allocated on first use.
+	bounds [][]knownBounds
+	// parents[parentStart[τ]:parentStart[τ+1]] lists τ's referencing
+	// parent types in id order, each with its occurrence interval: the
+	// occurrence table of occ-div/occ-sum, which keeps only its
+	// non-empty cells. parentStart is nil until first use.
+	parentStart []int32
+	parents     []occEdge
+	// diff memoizes minDiff(σ, τ) as a vector indexed by type id, keyed
+	// σ·n+τ; gaps memoizes the gap fold per (row, σ, τ), packed 21 bits
+	// each.
+	diff map[int32][]int
+	gaps map[uint64]int
+	// paid[σ·n+τ] is the run that last charged the work budget for the
+	// (σ, τ) difference fold; runs numbers the saturation runs.
+	paid []uint32
+	runs uint32
+	// reach[p] is reachableAvoiding(d, p) as a set indexed by type id,
+	// nil until first use.
+	reach [][]bool
 	// dfas and forced are keyed by a region's node language: its
 	// rendered path and its type.
 	dfas     map[[2]string]*pathre.DFA
 	forced   map[[2]string]bool
 	fragment int8 // 0 unknown, 1 the DTD is in the fragment, -1 not
+	// spare is the last run's engine, whose buffers the next run
+	// reuses.
+	spare *engine
+}
+
+// knownBounds is one memoized count-bounds cell.
+type knownBounds struct {
+	cardinality.Bounds
+	known bool
+}
+
+// occEdge is one cell of the occurrence table: the parent type σ and
+// the interval of occurrences of the child type per word of σ's model.
+type occEdge struct {
+	sigma int32
+	occRange
 }
 
 // Analyze prepares the DTD-only analysis of d. It computes nothing up
-// front; each fold is built when a saturation first needs it.
+// front but the type numbering; each fold is built when a saturation
+// first needs it.
 func Analyze(d *dtd.DTD) *Analysis {
+	ids := make(map[string]int32, len(d.Names))
+	for i, name := range d.Names {
+		ids[name] = int32(i)
+	}
+	root, ok := ids[d.Root]
+	if !ok {
+		root = -1
+	}
 	return &Analysis{
 		d:         d,
 		recursive: d.IsRecursive(),
-		diff:      map[[2]string]map[string]int{},
-		reach:     map[string]map[string]bool{},
+		ids:       ids,
+		root:      root,
+		diff:      map[int32][]int{},
+		gaps:      map[uint64]int{},
 		dfas:      map[[2]string]*pathre.DFA{},
 		forced:    map[[2]string]bool{},
 	}
 }
 
-// countBounds returns the memoizing count-bounds folder.
-func (a *Analysis) countBounds() *cardinality.Counter {
-	if a.counter == nil {
-		a.counter = cardinality.NewCounter(a.d)
-	}
-	return a.counter
+// typeID returns the id of a declared element type.
+func (a *Analysis) typeID(name string) (int32, bool) {
+	id, ok := a.ids[name]
+	return id, ok
 }
 
-// occTables returns the occurrence structure of the occ-div/occ-sum
-// rules: the occurrence interval of every (parent, child) pair, and
-// each type's referencing parents in d.Names order.
-func (a *Analysis) occTables() (map[[2]string]occRange, map[string][]string) {
-	if a.occ == nil {
-		a.occ = map[[2]string]occRange{}
-		a.parentsOf = map[string][]string{}
-		for _, sigma := range a.d.Names {
-			for tau, o := range occRanges(a.d.Element(sigma).Content) {
-				a.occ[[2]string{sigma, tau}] = o
-			}
+// countBounds returns the memoized count bounds of τ at a scope row
+// (0 for the document, σ+1 for the content of a σ node).
+func (a *Analysis) countBounds(row int, tau int32) cardinality.Bounds {
+	if a.bounds == nil {
+		a.counter = cardinality.NewCounter(a.d)
+		a.bounds = make([][]knownBounds, len(a.d.Names)+1)
+	}
+	cells := a.bounds[row]
+	if cells == nil {
+		cells = make([]knownBounds, len(a.d.Names))
+		a.bounds[row] = cells
+	}
+	if c := &cells[tau]; !c.known {
+		name := a.d.Names[tau]
+		if row == 0 {
+			c.Bounds = a.counter.Node(a.d.Root, name)
+		} else {
+			c.Bounds = a.counter.Content(a.d.Element(a.d.Names[row-1]).Content, name)
 		}
-		for _, tau := range a.d.Names {
-			for _, sigma := range a.d.Names {
-				if a.occ[[2]string{sigma, tau}].Hi > 0 {
-					a.parentsOf[tau] = append(a.parentsOf[tau], sigma)
+		c.known = true
+	}
+	return cells[tau].Bounds
+}
+
+// occTables returns the occurrence table of the occ-div/occ-sum rules:
+// every type's referencing parents in id order, with their occurrence
+// intervals (see Analysis.parents).
+func (a *Analysis) occTables() ([]int32, []occEdge) {
+	if a.parentStart == nil {
+		n := len(a.d.Names)
+		rows := make([]map[string]occRange, n)
+		start := make([]int32, n+1)
+		for sigma, name := range a.d.Names {
+			rows[sigma] = occRanges(a.d.Element(name).Content)
+			for tau := range rows[sigma] {
+				if id, ok := a.ids[tau]; ok {
+					start[id+1]++
 				}
 			}
 		}
+		for tau := 0; tau < n; tau++ {
+			start[tau+1] += start[tau]
+		}
+		edges := make([]occEdge, start[n])
+		fill := append([]int32(nil), start[:n]...)
+		for sigma, row := range rows {
+			for tau, o := range row {
+				if id, ok := a.ids[tau]; ok {
+					edges[fill[id]] = occEdge{sigma: int32(sigma), occRange: o}
+					fill[id]++
+				}
+			}
+		}
+		a.parentStart, a.parents = start, edges
 	}
-	return a.occ, a.parentsOf
+	return a.parentStart, a.parents
 }
 
-// minDiff returns the memoized difference fold of (σ, τ).
-func (a *Analysis) minDiff(sigma, tau string) map[string]int {
-	key := [2]string{sigma, tau}
-	md, ok := a.diff[key]
-	if !ok {
-		md = minDiff(a.d, sigma, tau)
-		a.diff[key] = md
+// gap returns the memoized minimum of count(σ) − count(τ) over the
+// trees (row 0) or the content forests of a row−1 node, or negInf.
+func (a *Analysis) gap(row int, sigma, tau int32) int {
+	key := uint64(row)<<42 | uint64(sigma)<<21 | uint64(tau)
+	if g, ok := a.gaps[key]; ok {
+		return g
 	}
-	return md
+	pair := sigma*int32(len(a.d.Names)) + tau
+	md, ok := a.diff[pair]
+	if !ok {
+		byName := minDiff(a.d, a.d.Names[sigma], a.d.Names[tau])
+		md = make([]int, len(a.d.Names))
+		for x, name := range a.d.Names {
+			md[x] = byName[name]
+		}
+		a.diff[pair] = md
+	}
+	var g int
+	if row == 0 {
+		g = md[a.root]
+	} else {
+		g = wordDiff(a.d.Element(a.d.Names[row-1]).Content, func(x string) int { return md[a.ids[x]] })
+	}
+	a.gaps[key] = g
+	return g
 }
 
-// reachableAvoiding returns the memoized reachableAvoiding(d, p).
-func (a *Analysis) reachableAvoiding(p string) map[string]bool {
-	reach, ok := a.reach[p]
-	if !ok {
-		reach = reachableAvoiding(a.d, p)
-		a.reach[p] = reach
+// payGap reports whether run has not yet paid for the (σ, τ)
+// difference fold, and records that it now has.
+func (a *Analysis) payGap(run uint32, sigma, tau int32) bool {
+	n := int32(len(a.d.Names))
+	if a.paid == nil {
+		a.paid = make([]uint32, n*n)
 	}
-	return reach
+	if a.paid[sigma*n+tau] == run {
+		return false
+	}
+	a.paid[sigma*n+tau] = run
+	return true
+}
+
+// newRun numbers a fresh saturation run for payGap.
+func (a *Analysis) newRun() uint32 {
+	a.runs++
+	if a.runs == 0 { // wrapped: forget every stamp
+		clear(a.paid)
+		a.runs = 1
+	}
+	return a.runs
+}
+
+// reachableAvoiding returns the memoized reachableAvoiding(d, p) as a
+// set indexed by type id.
+func (a *Analysis) reachableAvoiding(p int32) []bool {
+	if a.reach == nil {
+		a.reach = make([][]bool, len(a.d.Names))
+	}
+	if a.reach[p] == nil {
+		byName := reachableAvoiding(a.d, a.d.Names[p])
+		set := make([]bool, len(a.d.Names))
+		for x, name := range a.d.Names {
+			set[x] = byName[name]
+		}
+		a.reach[p] = set
+	}
+	return a.reach[p]
 }
 
 // nodeDFA returns the DFA of the unary target t's node language over

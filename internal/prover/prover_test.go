@@ -294,9 +294,14 @@ func TestSaturateBudget(t *testing.T) {
 // once).
 func budgetSpec(t *testing.T, mult string) (*dtd.DTD, *constraint.Set) {
 	t.Helper()
+	return wideSpec(t, 200, mult)
+}
+
+// wideSpec is budgetSpec's shape with n child types.
+func wideSpec(t *testing.T, n int, mult string) (*dtd.DTD, *constraint.Set) {
+	t.Helper()
 	var src strings.Builder
 	src.WriteString("<!ELEMENT root (")
-	const n = 200
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			src.WriteString(", ")

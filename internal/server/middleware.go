@@ -24,9 +24,11 @@ const (
 // SLO windows: the route sets observe (and failed, for an aborted
 // check) once the request counts as a check, and the middleware
 // observes the latency the client saw — from its own entry until the
-// response is written — rather than the decision time alone.
+// response is written — rather than the decision time alone. start is
+// that entry, which the slow-check accounting measures from too.
 type sloMark struct {
 	observe, failed bool
+	start           time.Time
 }
 
 // markSLO flags the request as one rolling-window observation. Outside
@@ -35,6 +37,15 @@ func markSLO(ctx context.Context, failed bool) {
 	if m, ok := ctx.Value(sloKey).(*sloMark); ok {
 		m.observe, m.failed = true, failed
 	}
+}
+
+// entryTime returns when the middleware took the request in, or
+// fallback outside the middleware (direct handler tests).
+func entryTime(ctx context.Context, fallback time.Time) time.Time {
+	if m, ok := ctx.Value(sloKey).(*sloMark); ok {
+		return m.start
+	}
+	return fallback
 }
 
 // requestID returns the ID the middleware assigned, or "-" outside a
@@ -91,11 +102,11 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 
 		ctx := context.WithValue(r.Context(), requestIDKey, id)
 		ctx = context.WithValue(ctx, traceIDKey, tid)
-		slo := &sloMark{}
+		start := time.Now()
+		slo := &sloMark{start: start}
 		ctx = context.WithValue(ctx, sloKey, slo)
 		r = r.WithContext(ctx)
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
 
 		defer func() {
 			if p := recover(); p != nil {
@@ -108,7 +119,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				fmt.Fprintf(sr, `{"request_id":%q,"trace_id":%q,"error":"internal server error","kind":"internal"}`+"\n", id, tid)
 				// The handler never reached its own flight observation;
 				// capture the panic with at least a goroutine profile.
-				rq := request{op: op{name: r.URL.Path}, elapsed: time.Since(start), Event: audit.Event{
+				rq := request{op: op{name: r.URL.Path}, latency: time.Since(start), Event: audit.Event{
 					RequestID: id, TraceID: tid, Status: http.StatusInternalServerError, Abort: "panic"}}
 				s.flight.Observe(rq.flightRequest())
 			}

@@ -124,7 +124,8 @@ type Config struct {
 	Audit *audit.Log
 	// SlowThreshold marks checks slower than it as slow: they bump the
 	// slow counter and trip the flight recorder's slow trigger (zero:
-	// no slow trigger).
+	// no slow trigger). A check's time runs from the middleware's entry,
+	// body upload included, as the client sees it.
 	SlowThreshold time.Duration
 	// QuarantineDir is where flight bundles land, as a
 	// <trigger>-<trace-id>.json correlated bundle plus a matching
@@ -546,10 +547,14 @@ type request struct {
 	op op
 	// req is the decoded body; its DTD and constraints are the raw
 	// spec text of the flight recorder's .spec dump.
-	req     CheckRequest
-	start   time.Time
-	elapsed time.Duration
-	rec     *obs.Recorder
+	req CheckRequest
+	// entry is when the middleware took the request in and start when
+	// the run began; latency, set by finish, is the time since entry —
+	// the latency the client saw so far, body upload included — which
+	// the slow-check accounting and the flight recorder judge.
+	entry, start time.Time
+	latency      time.Duration
+	rec          *obs.Recorder
 	// pub receives the solver's sampled progress snapshots, so
 	// /debug/inflight can show where a long check is without ever
 	// blocking the search.
@@ -560,7 +565,7 @@ type request struct {
 // in flight, run the decision under the deadline with a per-request
 // recorder, feed every sink, and answer.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, o op) {
-	rq := &request{op: o, Event: audit.Event{
+	rq := &request{op: o, entry: entryTime(r.Context(), time.Now()), Event: audit.Event{
 		RequestID: requestID(r.Context()), TraceID: traceID(r.Context()), Op: o.auditOp}}
 	if !s.admit(w, rq.RequestID, rq.TraceID) {
 		return
@@ -594,8 +599,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, o op) {
 	rq.start = time.Now()
 	defer s.track(rq)()
 	respond, err := o.run(ctx, s, spec, opts, rq)
-	rq.elapsed = time.Since(rq.start)
-	rq.ElapsedUS = rq.elapsed.Microseconds()
+	elapsed := time.Since(rq.start)
+	rq.ElapsedUS = elapsed.Microseconds()
 	root.SetInt("elapsed_us", rq.ElapsedUS)
 	rq.rec.Observe(o.latency, rq.ElapsedUS)
 	rq.rec.Add(o.count, 1)
@@ -606,7 +611,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, o op) {
 
 	if err != nil {
 		var msg string
-		rq.Status, rq.Abort, msg = s.classifyAbort(o.name, err, rq.elapsed)
+		rq.Status, rq.Abort, msg = s.classifyAbort(o.name, err, elapsed)
 		markSLO(r.Context(), true)
 		s.finish(rq)
 		s.writeError(w, rq.RequestID, rq.TraceID, rq.Status, rq.Abort, msg)
@@ -663,11 +668,12 @@ func (s *Server) finish(rq *request) {
 	s.writeTraceFile(rq.RequestID, rq.rec)
 	rq.Phases = auditPhases(rq.rec)
 	s.audit.Record(rq.Event)
-	if s.cfg.SlowThreshold > 0 && rq.elapsed >= s.cfg.SlowThreshold {
+	rq.latency = time.Since(rq.entry)
+	if s.cfg.SlowThreshold > 0 && rq.latency >= s.cfg.SlowThreshold {
 		s.reg.Add("server.slow_checks", 1)
 		s.log.Warn("slow check",
 			"request_id", rq.RequestID, "trace_id", rq.TraceID, "spec_digest", rq.SpecDigest,
-			"elapsed", rq.elapsed, "threshold", s.cfg.SlowThreshold)
+			"elapsed", rq.latency, "threshold", s.cfg.SlowThreshold)
 	}
 	if file := s.flight.Observe(rq.flightRequest()); file != "" {
 		s.reg.Add("server.slow_captures", 1)
@@ -690,7 +696,7 @@ func (rq *request) flightRequest() flight.Request {
 		Status:      rq.Status,
 		Abort:       rq.Abort,
 		Verdict:     rq.Verdict,
-		Elapsed:     rq.elapsed,
+		Elapsed:     rq.latency,
 		Rec:         rq.rec,
 		Progress:    rq.pub,
 	}

@@ -806,6 +806,46 @@ func TestSLOWindowSeesClientLatency(t *testing.T) {
 	}
 }
 
+// TestSlowThresholdSeesClientLatency pins that the slow threshold —
+// the slow-check counter and the flight recorder's slow trigger —
+// judges a check by the latency its client saw: a 20ms body upload
+// against a 10ms threshold makes a fast decision slow.
+func TestSlowThresholdSeesClientLatency(t *testing.T) {
+	dir := t.TempDir()
+	s := NewServer(Config{Logger: quietLogger(), SlowThreshold: 10 * time.Millisecond, QuarantineDir: dir})
+	body, err := json.Marshal(CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/check",
+		&stallingBody{r: bytes.NewReader(body), stall: 20 * time.Millisecond})
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	var cr CheckResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if cr.ElapsedUS >= 10000 {
+		t.Skipf("the decision alone took %dµs, past the threshold; the upload is not what made it slow", cr.ElapsedUS)
+	}
+
+	mw := httptest.NewRecorder()
+	s.Handler().ServeHTTP(mw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	exp, err := telemetry.ParseExposition(mw.Body.String())
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	if smp, ok := exp.Sample("xmlconsist_server_slow_checks_total"); !ok || smp.Value != 1 {
+		t.Errorf("slow_checks_total = %+v (present %v), want 1", smp, ok)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "slow-"+cr.TraceID+".json")); err != nil {
+		t.Errorf("no slow flight bundle for trace %s: %v", cr.TraceID, err)
+	}
+}
+
 func TestSlowCaptureQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{
