@@ -120,11 +120,13 @@ prove-smoke:
 # race detector (whose instrumentation shifts allocation counts and
 # slows checks past any ceiling): the allocation pins on the
 # obs-disabled library check, one encode per family, one verified
-# cache hit's scope vectors, and one explanation of each prover-heavy
-# explain kind (TestLibraryCheckAllocs, TestEncodeAllocs,
-# TestVerifyScopeVectorsAllocs, TestExplainAllocs), the best-of-k
+# cache hit's scope vectors, one explanation of each prover-heavy
+# explain kind, and one /check miss through the daemon's handler
+# (TestLibraryCheckAllocs, TestEncodeAllocs,
+# TestVerifyScopeVectorsAllocs, TestExplainAllocs,
+# TestServeCheckAllocs), the best-of-k
 # wall-time ceilings on the hard Figure 3/4 instances
 # (TestCheckCeilings), and the deterministic int64 fast-path sentinel
 # (TestCeilingFastPathSentinel).
 gates:
-	$(GO) test -count=1 -run 'Allocs$$|Ceiling' . ./internal/cardinality ./internal/certificate ./internal/consistency
+	$(GO) test -count=1 -run 'Allocs$$|Ceiling' . ./internal/cardinality ./internal/certificate ./internal/consistency ./internal/server

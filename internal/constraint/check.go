@@ -3,6 +3,7 @@ package constraint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/pathre"
@@ -185,6 +186,11 @@ func (c *checker) checkKey(k Key) []Violation {
 
 func (c *checker) checkInclusion(inc Inclusion) []Violation {
 	var out []Violation
+	// Tuples of different arities never match. encodeTuple keys a
+	// one-value tuple by the bare value, which could equal a longer
+	// tuple's key, so a set that failed validation with an arity
+	// mismatch must not probe the map at all.
+	sameArity := len(inc.From.Attrs) == len(inc.To.Attrs)
 	for _, scope := range contexts(c.t, inc.Context) {
 		have := map[string]bool{}
 		for _, n := range c.extent(scope, inc.Context != "", inc.To) {
@@ -202,7 +208,7 @@ func (c *checker) checkInclusion(inc Inclusion) []Violation {
 				})
 				continue
 			}
-			if !have[encodeTuple(vals)] {
+			if !sameArity || !have[encodeTuple(vals)] {
 				out = append(out, Violation{
 					Constraint: inc.String(),
 					Msg:        fmt.Sprintf("value %v has no matching %s", vals, inc.To),
@@ -214,12 +220,24 @@ func (c *checker) checkInclusion(inc Inclusion) []Violation {
 	return out
 }
 
-// encodeTuple encodes a value list unambiguously (length-prefixed) so
-// tuples can be used as map keys.
+// encodeTuple encodes a value list as a map key. A one-value tuple is
+// keyed by the value itself; longer tuples are length-prefixed so they
+// stay unambiguous. Each map holds (and is probed with) tuples of one
+// arity only, so the two forms never meet.
 func encodeTuple(vals []string) string {
-	var b strings.Builder
-	for _, v := range vals {
-		fmt.Fprintf(&b, "%d:%s;", len(v), v)
+	if len(vals) == 1 {
+		return vals[0]
 	}
-	return b.String()
+	n := 0
+	for _, v := range vals {
+		n += len(v) + 4
+	}
+	b := make([]byte, 0, n)
+	for _, v := range vals {
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
+		b = append(b, v...)
+		b = append(b, ';')
+	}
+	return string(b)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dtd"
@@ -13,9 +14,20 @@ import (
 	"repro/internal/xmltree"
 )
 
-// refCheck is Check as it was before it memoized path extents: every
-// extent call compiles its path target's DFA again. It is the oracle
-// for the violation list, order and texts.
+// refEncodeTuple is the fmt-based, always length-prefixed tuple key
+// encodeTuple replaced.
+func refEncodeTuple(vals []string) string {
+	var b strings.Builder
+	for _, v := range vals {
+		fmt.Fprintf(&b, "%d:%s;", len(v), v)
+	}
+	return b.String()
+}
+
+// refCheck is Check as it was before it memoized path extents and
+// keyed one-value tuples by the bare value: every extent call compiles
+// its path target's DFA again, and every tuple key is length-prefixed.
+// It is the oracle for the violation list, order and texts.
 func refCheck(t *xmltree.Tree, set *Set) []Violation {
 	extent := func(scope *xmltree.Node, relative bool, tgt Target) []*xmltree.Node {
 		if tgt.Path != nil {
@@ -57,7 +69,7 @@ func refCheck(t *xmltree.Tree, set *Set) []Violation {
 					out = append(out, Violation{k.String(), fmt.Sprintf("node lacks key attribute(s) %v", k.Target.Attrs), []*xmltree.Node{n}})
 					continue
 				}
-				key := encodeTuple(vals)
+				key := refEncodeTuple(vals)
 				if prev, dup := seen[key]; dup {
 					out = append(out, Violation{k.String(), fmt.Sprintf("duplicate key value %v", vals), []*xmltree.Node{prev, n}})
 					continue
@@ -71,7 +83,7 @@ func refCheck(t *xmltree.Tree, set *Set) []Violation {
 			have := map[string]bool{}
 			for _, n := range extent(scope, c.Context != "", c.To) {
 				if vals, ok := n.AttrList(c.To.Attrs); ok {
-					have[encodeTuple(vals)] = true
+					have[refEncodeTuple(vals)] = true
 				}
 			}
 			for _, n := range extent(scope, c.Context != "", c.From) {
@@ -80,7 +92,7 @@ func refCheck(t *xmltree.Tree, set *Set) []Violation {
 					out = append(out, Violation{c.String(), fmt.Sprintf("node lacks foreign-key attribute(s) %v", c.From.Attrs), []*xmltree.Node{n}})
 					continue
 				}
-				if !have[encodeTuple(vals)] {
+				if !have[refEncodeTuple(vals)] {
 					out = append(out, Violation{c.String(), fmt.Sprintf("value %v has no matching %s", vals, c.To), []*xmltree.Node{n}})
 				}
 			}
@@ -177,5 +189,39 @@ func TestCheckMatchesReference(t *testing.T) {
 			}
 			same(fmt.Sprintf("random/%d/%d", trial, doc), tree, set)
 		}
+	}
+}
+
+// TestCheckTupleKeys pins the tuple encoding's unambiguity: values that
+// concatenate alike, with or without separators, stay distinct keys; a
+// one-value foreign key never matches a two-value target whose encoded
+// key it spells out; and a same-arity multi-value inclusion still
+// matches.
+func TestCheckTupleKeys(t *testing.T) {
+	db := xmltree.NewElement("db")
+	db.Append(
+		xmltree.NewElement("r").SetAttr("a", "ab").SetAttr("b", "c"),
+		xmltree.NewElement("r").SetAttr("a", "a").SetAttr("b", "bc"),
+		xmltree.NewElement("r").SetAttr("a", "x;y").SetAttr("b", "z"),
+		xmltree.NewElement("r").SetAttr("a", "x").SetAttr("b", "y;z"),
+		xmltree.NewElement("r").SetAttr("a", "1:x;").SetAttr("b", ""),
+		xmltree.NewElement("r").SetAttr("a", "").SetAttr("b", "1:x;"),
+		xmltree.NewElement("r").SetAttr("a", "p").SetAttr("b", "q"),
+		xmltree.NewElement("f").SetAttr("x", "1:p;1:q;"),
+		xmltree.NewElement("g").SetAttr("x", "p").SetAttr("y", "q"),
+	)
+	tree := &xmltree.Tree{Root: db}
+	rab := Target{Type: "r", Attrs: []string{"a", "b"}}
+	set := &Set{}
+	set.AddKey(Key{Target: rab})
+	set.AddInclusion(Inclusion{From: Target{Type: "g", Attrs: []string{"x", "y"}}, To: rab})
+	mismatch := Inclusion{From: Target{Type: "f", Attrs: []string{"x"}}, To: rab}
+	set.AddInclusion(mismatch)
+	got := Check(tree, set)
+	if len(got) != 1 || got[0].Constraint != mismatch.String() {
+		t.Fatalf("violations = %v, want exactly one of %s", got, mismatch)
+	}
+	if want := refCheck(tree, set); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Check = %v, reference %v", got, want)
 	}
 }

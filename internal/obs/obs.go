@@ -346,22 +346,27 @@ type histCopy struct {
 	h    Histogram
 }
 
+// durationAt is the span's duration, or its elapsed-so-far duration at
+// now while it is still open (caller holds the recorder's mu).
+func (s *Span) durationAt(now time.Time) time.Duration {
+	if !s.ended {
+		return now.Sub(s.start)
+	}
+	return s.duration
+}
+
 func (r *Recorder) snapshot() snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
 	var cp func(s *Span) *spanCopy
 	cp = func(s *Span) *spanCopy {
-		d := s.duration
-		if !s.ended {
-			d = now.Sub(s.start)
-		}
 		out := &spanCopy{
 			name:     s.Name,
 			id:       s.id,
 			attrs:    append([]Attr(nil), s.Attrs...),
 			startUS:  s.start.Sub(r.epoch).Microseconds(),
-			duration: d,
+			duration: s.durationAt(now),
 		}
 		for _, c := range s.children {
 			out.children = append(out.children, cp(c))

@@ -23,32 +23,50 @@ type SpanInfo struct {
 
 // Spans returns every recorded span in pre-order with slash-joined
 // paths (the same paths WriteJSON emits). Open spans report their
-// elapsed-so-far duration.
+// elapsed-so-far duration. It flattens the span tree alone, under the
+// lock, and leaves the counters and histograms untouched.
 func (r *Recorder) Spans() []SpanInfo {
 	if r == nil {
 		return nil
 	}
-	snap := r.snapshot()
-	var out []SpanInfo
-	var walk func(s *spanCopy, prefix string)
-	walk = func(s *spanCopy, prefix string) {
-		path := s.name
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := r.now()
+	var count func(s *Span) int
+	count = func(s *Span) int {
+		n := 1
+		for _, c := range s.children {
+			n += count(c)
+		}
+		return n
+	}
+	n := 0
+	for _, s := range r.roots {
+		n += count(s)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]SpanInfo, 0, n)
+	var walk func(s *Span, prefix string)
+	walk = func(s *Span, prefix string) {
+		path := s.Name
 		if prefix != "" {
-			path = prefix + "/" + s.name
+			path = prefix + "/" + s.Name
 		}
 		out = append(out, SpanInfo{
 			Path:       path,
-			Name:       s.name,
+			Name:       s.Name,
 			SpanID:     s.id,
-			StartUS:    s.startUS,
-			DurationUS: s.duration.Microseconds(),
-			Attrs:      s.attrs,
+			StartUS:    s.start.Sub(r.epoch).Microseconds(),
+			DurationUS: s.durationAt(now).Microseconds(),
+			Attrs:      append([]Attr(nil), s.Attrs...),
 		})
 		for _, c := range s.children {
 			walk(c, path)
 		}
 	}
-	for _, s := range snap.roots {
+	for _, s := range r.roots {
 		walk(s, "")
 	}
 	return out

@@ -270,3 +270,30 @@ func TestSpansFlattening(t *testing.T) {
 		t.Errorf("encode span attrs = %v", spans[1].Attrs)
 	}
 }
+
+// TestSpansOpenAndIsolated: Spans reports an open span with its
+// elapsed-so-far duration, returns nil for an empty recorder, and
+// hands out attribute slices that do not alias the recorder's.
+func TestSpansOpenAndIsolated(t *testing.T) {
+	rec := New()
+	if spans := rec.Spans(); spans != nil {
+		t.Fatalf("empty recorder Spans = %v, want nil", spans)
+	}
+	rec.SetClock(tickClock(time.Unix(1000, 0), time.Millisecond))
+	root := rec.Start("server.check")
+	root.SetInt("a", 1)
+	child := rec.Start("xmlspec.check")
+	child.End()
+	spans := rec.Spans()
+	if len(spans) != 2 || spans[0].Path != "server.check" || spans[1].Path != "server.check/xmlspec.check" {
+		t.Fatalf("spans = %+v", spans)
+	}
+	// Clock ticks: root start 1, child start 2, child end 3, Spans 4.
+	if spans[0].DurationUS != 3000 || spans[1].DurationUS != 1000 {
+		t.Errorf("durations = %d, %d µs, want 3000 (open), 1000", spans[0].DurationUS, spans[1].DurationUS)
+	}
+	spans[0].Attrs[0].Int = 99
+	if again := rec.Spans(); again[0].Attrs[0].Int != 1 {
+		t.Errorf("writing a returned attr reached the recorder: %v", again[0].Attrs)
+	}
+}
