@@ -368,3 +368,25 @@ func TestAccessorsAndNormalized(t *testing.T) {
 		t.Errorf("normalization changed verdict %v -> %v", r1.Verdict, r2.Verdict)
 	}
 }
+
+// TestAttributionWithoutObserver: Options.Attribution returns cost rows
+// on a spec with no observer attached.
+func TestAttributionWithoutObserver(t *testing.T) {
+	spec := MustParse(`<!ELEMENT library (book*)>
+<!ELEMENT book EMPTY>
+<!ATTLIST book isbn CDATA #REQUIRED>`, `book.isbn -> book`)
+	res, err := spec.Consistent(&Options{Attribution: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Attribution) != 1 || res.Attribution[0].Key != "document" || res.Attribution[0].Verdict != "sat" {
+		t.Fatalf("attribution = %+v, want one sat document row", res.Attribution)
+	}
+	res, err = spec.Consistent(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attribution != nil {
+		t.Fatalf("attribution without the option: %+v", res.Attribution)
+	}
+}
