@@ -3,6 +3,7 @@ package cardinality
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/constraint"
 	"repro/internal/dtd"
@@ -179,7 +180,7 @@ func (e *AbsoluteEncoding) Witness(vals []int64, maxNodes int) (*xmltree.Tree, e
 
 // poolValue names the i-th value of the global pool (Lemma 1's a_i);
 // every ext(τ.l) is realized as the prefix {a_0, …}.
-func poolValue(i int64) string { return fmt.Sprintf("a%d", i) }
+func poolValue(i int64) string { return "a" + strconv.FormatInt(i, 10) }
 
 // assignValues implements the construction of Lemma 1: each mentioned
 // ext(τ.l) becomes a prefix of a global value pool; keyed attribute

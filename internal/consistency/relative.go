@@ -11,6 +11,7 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/dtd"
 	"repro/internal/ilp"
+	"repro/internal/obs"
 	"repro/internal/scope"
 	"repro/internal/xmltree"
 )
@@ -134,7 +135,6 @@ func (h *hierChecker) scope(chain map[string]bool, tau string) hierScope {
 		return s
 	}
 	sp := h.opts.Obs.Start("scope")
-	sp.SetString("type", tau)
 	defer sp.End()
 	// Mark in-progress defensively (non-recursive DTDs cannot loop).
 	h.memo[key] = hierScope{verdict: ilp.Unknown}
@@ -166,29 +166,26 @@ func (h *hierChecker) scope(chain map[string]bool, tau string) hierScope {
 	// restated because the exit recursion above has already reset this
 	// goroutine's labels on its way out.
 	var out hierScope
-	labeled(h.opts, func() { out = h.solveScope(chain, tau, key, sd, exits, banned, undecided) },
+	labeled(h.opts, func() { out = h.solveScope(sp, chain, tau, key, sd, exits, banned, undecided) },
 		"phase", "ilp", "scope", key)
 	h.memo[key] = out
 	return out
 }
 
 // solveScope encodes and decides one (chain, τ) scope problem and
-// records its ledger row. The exit recursion has already run; banned
-// lists the exits proved inconsistent and undecided the exits that
-// came back Unknown.
+// records its cost row on the scope's span sp. The exit recursion has
+// already run; banned lists the exits proved inconsistent and
+// undecided the exits that came back Unknown.
 //
-// The probe starts after the exit recursion, so a parent scope's
-// row covers its own encode+solve only — children account for
-// themselves and the ledger's total stays the real wall time. The
-// live scope position is published here too: the exits recursed into
+// The live scope position is published here: the exits recursed into
 // earlier moved it, so re-mark this scope before its solve runs.
-func (h *hierChecker) solveScope(chain map[string]bool, tau, key string, sd *dtd.DTD, exits []string, banned map[string]bool, undecided []string) hierScope {
+func (h *hierChecker) solveScope(sp *obs.Span, chain map[string]bool, tau, key string, sd *dtd.DTD, exits []string, banned map[string]bool, undecided []string) hierScope {
 	h.opts.Progress.SetScope(len(h.memo), key)
-	probe := beginProbe(h.opts.Ledger)
+	mallocs := allocCount(h.opts)
 	local, forceZero := scope.LocalSet(h.d, sd, h.set, chain, tau)
 	enc, err := cardinality.EncodeAbsolute(sd, local)
 	if err != nil {
-		probe.record(key, tau, ilp.Unknown, ilp.Stats{}, 0, local)
+		recordCost(sp, h.opts, mallocs, key, tau, ilp.Unknown, ilp.Stats{}, 0, local)
 		return hierScope{verdict: ilp.Unknown}
 	}
 	for e := range banned {
@@ -233,7 +230,7 @@ func (h *hierChecker) solveScope(chain map[string]bool, tau, key string, sd *dtd
 			out.vals = nil
 		}
 	}
-	probe.record(key, tau, out.verdict, scopeStats, scopeCuts, local)
+	recordCost(sp, h.opts, mallocs, key, tau, out.verdict, scopeStats, scopeCuts, local)
 	return out
 }
 

@@ -1,14 +1,16 @@
 // Package introspect is the solver's deep-introspection layer: a
 // lock-free live progress publisher sampled by the branch-and-bound
-// search, and a per-scope cost ledger that attributes a check's time,
+// search, and per-scope cost rows that attribute a check's time,
 // allocations, and solver effort to the individual scope subproblems
-// and constraint families that consumed them.
+// and constraint families that consumed them. Each solved subproblem
+// records its cost once, on its own obs span (Record), and Rows
+// derives the rows from a span list; a Ledger is a check's request for
+// rows, not a collector.
 //
-// Both halves are attach-only. A nil *Publisher and a nil *Ledger are
-// the canonical detached observers: every method no-ops, so the hot
-// paths pay exactly one nil check (and zero allocations) per
-// instrumentation point when nobody is watching. The publisher side is
-// additionally lock-free for readers and writers alike — the solver
+// A nil *Publisher is the canonical detached observer: every method
+// no-ops, so the hot paths pay exactly one nil check (and zero
+// allocations) per instrumentation point when nobody is watching. The
+// publisher is lock-free for readers and writers alike — the solver
 // stores whole Progress snapshots through an atomic pointer, and any
 // number of concurrent observers (the daemon's /debug/inflight
 // handler, a status page refresh) load the latest one without ever

@@ -2,8 +2,12 @@ package introspect
 
 import (
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func TestNilPublisherAndLedgerNoOp(t *testing.T) {
@@ -16,16 +20,10 @@ func TestNilPublisherAndLedgerNoOp(t *testing.T) {
 		t.Fatal("nil publisher: Snapshot ok = true, want false")
 	}
 	var l *Ledger
-	l.Record(ScopeCost{Key: "document"})
-	if l.Enabled() {
-		t.Fatal("nil ledger reports Enabled")
+	if l.Enabled() || l.TrackAllocs().TracksAllocs() {
+		t.Fatal("nil ledger reports Enabled or TracksAllocs")
 	}
-	if got := l.Rows(); got != nil {
-		t.Fatalf("nil ledger Rows = %v, want nil", got)
-	}
-	if l.Len() != 0 {
-		t.Fatalf("nil ledger Len = %d", l.Len())
-	}
+	Record(nil, ScopeCost{Key: "document"}, FamilyKey)
 }
 
 func TestPublishStampsLocationAndRestarts(t *testing.T) {
@@ -100,22 +98,76 @@ func TestConcurrentPublishSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
-func TestLedgerRowsSortedByElapsed(t *testing.T) {
-	l := NewLedger()
-	l.Record(ScopeCost{Key: "b", ElapsedUS: 10})
-	l.Record(ScopeCost{Key: "a", ElapsedUS: 30})
-	l.Record(ScopeCost{Key: "c", ElapsedUS: 10})
-	rows := l.Rows()
-	got := []string{rows[0].Key, rows[1].Key, rows[2].Key}
+func TestRowsSortedByElapsed(t *testing.T) {
+	var spans []obs.SpanInfo
+	for _, r := range []struct {
+		key string
+		us  int64
+	}{{"b", 10}, {"a", 30}, {"c", 10}} {
+		spans = append(spans, obs.SpanInfo{Path: "scope", Name: "scope", DurationUS: r.us,
+			Attrs: []obs.Attr{{Key: "key", Str: r.key}}})
+	}
+	rows := Rows(spans)
+	var got []string
+	for _, r := range rows {
+		got = append(got, r.Key)
+	}
 	want := []string{"a", "b", "c"} // 30 first, then the 10µs tie by key
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("row order = %v, want %v", got, want)
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
+}
+
+// TestRowsSelfTime: a row's time is its span's duration less the
+// recorded subproblems directly under it; other child spans stay in
+// their parent's time, and spans Record never annotated yield no row.
+func TestRowsSelfTime(t *testing.T) {
+	var now time.Time
+	rec := obs.New()
+	rec.SetClock(func() time.Time { return now })
+	tick := func(us int) { now = now.Add(time.Duration(us) * time.Microsecond) }
+	root := rec.Start("consistency.check")
+	parent := rec.Start("scope")
+	tick(10)
+	c1 := rec.Start("scope")
+	tick(30)
+	Record(c1, ScopeCost{Key: "c1", Type: "t1", Verdict: "sat", Nodes: 2, Pivots: 4, Cuts: 1}, FamilyKey)
+	c1.End()
+	c2 := rec.Start("scope")
+	tick(50)
+	g := rec.Start("scope")
+	tick(5)
+	Record(g, ScopeCost{Key: "g", Allocs: 9}, 0)
+	g.End()
+	Record(c2, ScopeCost{Key: "c2", LPCalls: 3, Branches: 5, Propagations: 6}, FamilyRelativeKey)
+	c2.End()
+	enc := rec.Start("encode.absolute")
+	tick(7)
+	enc.End()
+	tick(3)
+	Record(parent, ScopeCost{Key: "p", Verdict: "unsat"}, FamilyKey|FamilyRegular|FamilyMultiAttribute)
+	parent.End()
+	root.End()
+
+	rows := Rows(rec.Spans())
+	want := []ScopeCost{
+		{Key: "c2", ElapsedUS: 50, LPCalls: 3, Branches: 5, Propagations: 6, Families: []string{"relative-key"}},
+		{Key: "c1", Type: "t1", Verdict: "sat", ElapsedUS: 30, Nodes: 2, Pivots: 4, Cuts: 1, Families: []string{"key"}},
+		{Key: "p", Verdict: "unsat", ElapsedUS: 20, Families: []string{"key", "multi-attribute", "regular"}},
+		{Key: "g", ElapsedUS: 5, Allocs: 9},
 	}
-	if TotalElapsedUS(rows) != 50 {
-		t.Fatalf("TotalElapsedUS = %d, want 50", TotalElapsedUS(rows))
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows =\n%+v\nwant\n%+v", rows, want)
+	}
+}
+
+func TestFamilyNamesSorted(t *testing.T) {
+	all := Family(1<<len(familyNames) - 1).Names()
+	if len(all) != len(familyNames) || !sort.StringsAreSorted(all) {
+		t.Fatalf("Names of every family = %v, want all %d sorted", all, len(familyNames))
+	}
+	if Family(0).Names() != nil {
+		t.Fatal("empty family set has names")
 	}
 }
 
@@ -141,23 +193,5 @@ func TestByFamilyAggregation(t *testing.T) {
 	}
 	if fams[0].Family != "key" {
 		t.Fatalf("families not sorted by elapsed: %v", fams)
-	}
-}
-
-func TestConcurrentLedgerRecord(t *testing.T) {
-	l := NewLedger()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				l.Record(ScopeCost{Key: "k", ElapsedUS: 1})
-			}
-		}()
-	}
-	wg.Wait()
-	if l.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", l.Len())
 	}
 }

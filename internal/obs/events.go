@@ -73,16 +73,6 @@ func (r *Recorder) EnableEvents(capacity int) {
 	r.mu.Unlock()
 }
 
-// EventsEnabled reports whether a ring sink is attached.
-func (r *Recorder) EventsEnabled() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.events != nil
-}
-
 // Events returns a copy of the buffered events, oldest-first. Nil when
 // events were never enabled.
 func (r *Recorder) Events() []Event {

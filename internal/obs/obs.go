@@ -24,9 +24,7 @@
 package obs
 
 import (
-	"context"
 	"math/bits"
-	"sort"
 	"sync"
 	"time"
 )
@@ -220,9 +218,7 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.rec.mu.Lock()
-	s.Attrs = append(s.Attrs, Attr{Key: key, Int: v, IsInt: true})
-	s.rec.mu.Unlock()
+	s.SetAttrs(Attr{Key: key, Int: v, IsInt: true})
 }
 
 // SetString annotates the span with a string attribute.
@@ -230,8 +226,16 @@ func (s *Span) SetString(key, v string) {
 	if s == nil {
 		return
 	}
+	s.SetAttrs(Attr{Key: key, Str: v})
+}
+
+// SetAttrs appends several attributes under one lock acquisition.
+func (s *Span) SetAttrs(attrs ...Attr) {
+	if s == nil {
+		return
+	}
 	s.rec.mu.Lock()
-	s.Attrs = append(s.Attrs, Attr{Key: key, Str: v})
+	s.Attrs = append(s.Attrs, attrs...)
 	s.rec.mu.Unlock()
 }
 
@@ -319,33 +323,6 @@ func (r *Recorder) Observe(name string, v int64) {
 	r.mu.Unlock()
 }
 
-// snapshot is the sink-facing copy of the recorder's state, taken
-// under the lock so sinks can format without holding it.
-type snapshot struct {
-	roots    []*spanCopy
-	counters []kv
-	hists    []histCopy
-}
-
-type spanCopy struct {
-	name     string
-	id       string
-	attrs    []Attr
-	startUS  int64
-	duration time.Duration
-	children []*spanCopy
-}
-
-type kv struct {
-	name string
-	val  int64
-}
-
-type histCopy struct {
-	name string
-	h    Histogram
-}
-
 // durationAt is the span's duration, or its elapsed-so-far duration at
 // now while it is still open (caller holds the recorder's mu).
 func (s *Span) durationAt(now time.Time) time.Duration {
@@ -353,56 +330,4 @@ func (s *Span) durationAt(now time.Time) time.Duration {
 		return now.Sub(s.start)
 	}
 	return s.duration
-}
-
-func (r *Recorder) snapshot() snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.now()
-	var cp func(s *Span) *spanCopy
-	cp = func(s *Span) *spanCopy {
-		out := &spanCopy{
-			name:     s.Name,
-			id:       s.id,
-			attrs:    append([]Attr(nil), s.Attrs...),
-			startUS:  s.start.Sub(r.epoch).Microseconds(),
-			duration: s.durationAt(now),
-		}
-		for _, c := range s.children {
-			out.children = append(out.children, cp(c))
-		}
-		return out
-	}
-	var snap snapshot
-	for _, s := range r.roots {
-		snap.roots = append(snap.roots, cp(s))
-	}
-	for k, v := range r.counters {
-		snap.counters = append(snap.counters, kv{k, v})
-	}
-	sort.Slice(snap.counters, func(i, j int) bool { return snap.counters[i].name < snap.counters[j].name })
-	for k, h := range r.hists {
-		snap.hists = append(snap.hists, histCopy{k, *h})
-	}
-	sort.Slice(snap.hists, func(i, j int) bool { return snap.hists[i].name < snap.hists[j].name })
-	return snap
-}
-
-// ---- context threading ----
-
-type ctxKey struct{}
-
-// WithRecorder attaches a recorder to a context.
-func WithRecorder(ctx context.Context, r *Recorder) context.Context {
-	return context.WithValue(ctx, ctxKey{}, r)
-}
-
-// FromContext returns the context's recorder, or nil (the no-op
-// recorder) when none is attached.
-func FromContext(ctx context.Context) *Recorder {
-	if ctx == nil {
-		return nil
-	}
-	r, _ := ctx.Value(ctxKey{}).(*Recorder)
-	return r
 }

@@ -211,16 +211,13 @@ func TestEventRingBounded(t *testing.T) {
 func TestEventsNilAndDisabled(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.EnableEvents(8)
-	if nilRec.Events() != nil || nilRec.EventsEnabled() || nilRec.DroppedEvents() != 0 {
+	if nilRec.Events() != nil || nilRec.DroppedEvents() != 0 {
 		t.Fatal("nil recorder must no-op")
 	}
 	if err := nilRec.WriteChromeTrace(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	rec := New()
-	if rec.EventsEnabled() {
-		t.Fatal("events enabled before EnableEvents")
-	}
 	if rec.Events() != nil {
 		t.Fatal("Events() non-nil before EnableEvents")
 	}

@@ -82,8 +82,8 @@ type cacheEntry struct {
 	size                              int
 }
 
-// newCacheEntry stores res compactly. The per-run attribution ledger
-// is dropped: it describes a solve, not the verdict.
+// newCacheEntry stores res compactly. The per-run cost rows are
+// dropped: they describe a solve, not the verdict.
 func newCacheEntry(key cacheKey, res xmlspec.Result) (*cacheEntry, error) {
 	cert, err := json.Marshal(res.Certificate)
 	if err != nil {

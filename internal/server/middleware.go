@@ -91,10 +91,16 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-Id", id)
 
 		// Join the caller's trace when the header validates; start a
-		// fresh trace otherwise. The response always echoes the trace
-		// with this request's own span ID as the parent.
-		tid, _, err := obs.ParseTraceparent(r.Header.Get("traceparent"))
-		if err != nil {
+		// fresh trace otherwise, without parsing an absent header. The
+		// response always echoes the trace with this request's own span
+		// ID as the parent.
+		var tid string
+		if h := r.Header.Get("traceparent"); h != "" {
+			if id, _, err := obs.ParseTraceparent(h); err == nil {
+				tid = id
+			}
+		}
+		if tid == "" {
 			tid = obs.NewTraceID()
 		}
 		spanID := obs.NewSpanID()

@@ -23,6 +23,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/experiments"
 	"repro/internal/introspect"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -937,13 +938,13 @@ func TestNoQuarantineUnderThreshold(t *testing.T) {
 }
 
 // TestCheckAttribution: options.attribution returns the per-scope cost
-// ledger in the response, and the audit event carries the capped rows
+// rows in the response, and the audit event carries the capped rows
 // whether or not the client asked.
 func TestCheckAttribution(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// SkipLint: the geography fixture is otherwise refuted by the lint
-	// prepass before any scope subproblem runs, and an empty ledger
-	// would make this test vacuous.
+	// prepass before any scope subproblem runs, and no rows would make
+	// this test vacuous.
 	resp, out := postCheck(t, ts, CheckRequest{
 		DTD:         geoDTD,
 		Constraints: geoConstraints,
@@ -1143,5 +1144,40 @@ func TestStatusPhaseSummary(t *testing.T) {
 	}
 	if ps := st.Recent[2].PhaseSummary; ps.LintUS <= 0 || ps.ILPUS != 0 {
 		t.Errorf("linted-check phase summary = %+v, want nonzero lint, zero ilp", ps)
+	}
+}
+
+// TestMiddlewareTraceparent: every response echoes a well-formed
+// traceparent carrying this request's own span ID, and only a valid
+// inbound header makes the request join the caller's trace. A missing
+// or malformed header starts a fresh trace.
+func TestMiddlewareTraceparent(t *testing.T) {
+	h := NewServer(Config{Logger: quietLogger()}).Handler()
+	const callerTrace, callerSpan = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+	for _, c := range []struct {
+		name, header string
+		joins        bool
+	}{
+		{"absent", "", false},
+		{"malformed", "00-" + callerTrace + "-xyz-01", false},
+		{"valid", "00-" + callerTrace + "-" + callerSpan + "-01", true},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+		if c.header != "" {
+			req.Header.Set("traceparent", c.header)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		tid, parent, err := obs.ParseTraceparent(rr.Header().Get("traceparent"))
+		if err != nil {
+			t.Errorf("%s: echoed traceparent %q: %v", c.name, rr.Header().Get("traceparent"), err)
+			continue
+		}
+		if (tid == callerTrace) != c.joins {
+			t.Errorf("%s: echoed trace %s, caller's %s, want joined = %v", c.name, tid, callerTrace, c.joins)
+		}
+		if parent == callerSpan {
+			t.Errorf("%s: echoed the caller's span ID instead of the server's", c.name)
+		}
 	}
 }

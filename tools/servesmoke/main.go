@@ -770,9 +770,10 @@ func cacheCounters(base string) (map[string]float64, error) {
 }
 
 // checkAuditLog parses every line of the audit trail and requires the
-// first event to match the consistent check's response and the last to
-// be the verdict-cache hit hitID: re-verified under a server.cache/verify
-// span, with no solver phase.
+// first event to match the consistent check's response and carry its
+// "document" scope cost, and the last to be the verdict-cache hit
+// hitID: re-verified under a server.cache/verify span, with no solver
+// phase and no scope costs.
 func checkAuditLog(path, requestID, digest, hitID string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -792,6 +793,10 @@ func checkAuditLog(path, requestID, digest, hitID string) error {
 		Phases     []struct {
 			Path string `json:"path"`
 		} `json:"phases"`
+		ScopeCosts []struct {
+			Key     string `json:"key"`
+			Verdict string `json:"verdict"`
+		} `json:"scope_costs"`
 	}
 	var first, last event
 	for i, line := range lines {
@@ -810,8 +815,20 @@ func checkAuditLog(path, requestID, digest, hitID string) error {
 	if first.RequestID != requestID || first.SpecDigest != digest || first.Verdict != "consistent" {
 		return fmt.Errorf("first audit event %+v does not match response (id %s, digest %s)", first, requestID, digest)
 	}
+	sawDocument := false
+	for _, sc := range first.ScopeCosts {
+		if sc.Key == "document" && sc.Verdict != "" {
+			sawDocument = true
+		}
+	}
+	if !sawDocument {
+		return fmt.Errorf("first audit event has no \"document\" scope cost with a verdict: %+v", first.ScopeCosts)
+	}
 	if last.RequestID != hitID {
 		return fmt.Errorf("last audit event is %s, want the cache hit %s", last.RequestID, hitID)
+	}
+	if len(last.ScopeCosts) != 0 {
+		return fmt.Errorf("cache hit %s carries scope costs %+v", hitID, last.ScopeCosts)
 	}
 	sawVerify := false
 	for _, p := range last.Phases {
