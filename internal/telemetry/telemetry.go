@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -278,7 +277,7 @@ func (r *Registry) writeExposition(w io.Writer, om bool) error {
 		infoName, info.Module, info.Version, info.GoVersion, info.Revision,
 		fmt.Sprintf("%v", info.Dirty))
 
-	for _, name := range sortedKeys(counters) {
+	for _, name := range obs.SortedKeys(counters) {
 		base := r.metricName(name)
 		full := base + "_total"
 		if om {
@@ -291,7 +290,7 @@ func (r *Registry) writeExposition(w io.Writer, om bool) error {
 		fmt.Fprintf(bw, "%s %d\n", full, counters[name])
 	}
 
-	for _, name := range sortedKeys(gauges) {
+	for _, name := range obs.SortedKeys(gauges) {
 		// A NaN callback value means "no observation to report" (e.g. a
 		// latency quantile over an empty rolling window): the family is
 		// omitted from the exposition entirely — absence, not a fake 0 —
@@ -305,7 +304,7 @@ func (r *Registry) writeExposition(w io.Writer, om bool) error {
 		fmt.Fprintf(bw, "%s %s\n", full, formatFloat(v))
 	}
 
-	for _, name := range sortedKeys(hists) {
+	for _, name := range obs.SortedKeys(hists) {
 		h := hists[name]
 		full := r.metricName(name)
 		r.writeHeader(bw, full, help[name], "histogram")
@@ -415,16 +414,6 @@ func formatFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%g", v)
 	}
-}
-
-// sortedKeys returns the keys of a map in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // errWriter latches the first write error so rendering code can stay
