@@ -64,7 +64,7 @@ func printDerivation(stdout io.Writer, spec *xmlspec.Spec, ex *xmlspec.Explanati
 	}
 }
 
-// printAttribution renders the per-scope cost ledger and its
+// printAttribution renders the per-scope cost rows and their
 // per-family aggregate as text tables, most expensive first, with each
 // row's share of the attributed wall time.
 func printAttribution(stdout io.Writer, rows []xmlspec.ScopeCost) {
