@@ -17,7 +17,7 @@ import (
 	"repro/internal/experiments"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/explain.golden from the current Explain")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files of the tests that run")
 
 const explainGoldenPath = "testdata/explain.golden"
 
