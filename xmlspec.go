@@ -170,8 +170,8 @@ type Options struct {
 	// from the check's spans: one row per hierarchical scope subproblem
 	// (one "document" row on the non-relative routes) with self time,
 	// solver effort, verdict contribution, and constraint families.
-	// Without an observer the check records into a private one. Off by
-	// default.
+	// Without an observer the check records into a private one. An
+	// explanation carries no rows and ignores it. Off by default.
 	Attribution bool
 	// AttributionAllocs additionally records per-row heap-allocation
 	// deltas, at the cost of two brief stop-the-world runtime MemStats
@@ -647,7 +647,14 @@ func (s *Spec) ExplainContext(ctx context.Context, opts *Options) (Explanation, 
 func (s *Spec) explain(ctx context.Context, opts *Options) (Explanation, error) {
 	sp := s.obs.Start("xmlspec.explain")
 	defer sp.End()
-	iopts := opts.internal(s.obs)
+	// An explanation carries no cost rows, so Attribution attaches
+	// neither a ledger nor a private recorder to its checks.
+	var o Options
+	if opts != nil {
+		o = *opts
+	}
+	o.Attribution = false
+	iopts := o.internal(s.obs)
 	iopts.Ctx = ctx
 	ex, err := consistency.Explain(s.dtd, s.set, iopts)
 	if err != nil {
