@@ -22,8 +22,8 @@ func TestExplainAllocs(t *testing.T) {
 		in   experiments.Instance
 		max  float64
 	}{
-		{"hierarchical-3", experiments.Fig4Hierarchical(3, false), 3172},
-		{"tractable-32", experiments.Thm35Tractable(32, false), 987},
+		{"hierarchical-3", experiments.Fig4Hierarchical(3, false), 2869},
+		{"tractable-32", experiments.Thm35Tractable(32, false), 783},
 	} {
 		n := testing.AllocsPerRun(10, func() {
 			ex, err := consistency.Explain(k.in.D, k.in.Set, consistency.Options{})
