@@ -207,7 +207,9 @@ type Stats struct {
 	Pivots int
 	// MaxDepth is the deepest search level of any solve.
 	MaxDepth int
-	// Saturations counts saturated interval-arithmetic bounds.
+	// Saturations counts saturated interval-arithmetic bounds on the
+	// propagation rows the solver visited; rows untouched since their
+	// last visit are not revisited, so not counted again.
 	Saturations int
 	// LintFindings counts the diagnostics the speclint prepass
 	// reported (zero when the prepass is skipped or clean).

@@ -15,6 +15,12 @@
 // relaxation for pruning; it is complete relative to a value cap and a
 // node budget, and reports Unknown instead of guessing when a verdict
 // would depend on exceeding them.
+//
+// Propagation is event-driven. Each solve splits every linear row once
+// into its ≤ halves, and a propagation round revisits only the halves
+// whose variables' bounds changed since their last visit (every half
+// at the root, and at the children of a node that ran out of rounds).
+// Skipping the others changes no bound, verdict or search count.
 package ilp
 
 import (
