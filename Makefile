@@ -85,10 +85,12 @@ fmt:
 # bench runs the root benchmark families, then the compile and
 # certificate-verification microbenchmarks: one encode per family
 # (BenchmarkEncode) and one verified cache hit's re-proof per
-# certificate form (BenchmarkVerify).
+# certificate form (BenchmarkVerify), then one explanation per kind of
+# the explain workload (BenchmarkExplain).
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkVerify' -benchmem ./internal/cardinality ./internal/certificate
+	$(GO) test -run '^$$' -bench BenchmarkExplain -benchmem ./internal/consistency
 
 # serve-smoke builds xmlconsistd, starts it on a random port, and
 # drives the whole serving surface end to end: /healthz, /check with a

@@ -42,12 +42,20 @@ type extVar struct {
 // the DTD. It returns an error for constraint sets outside the
 // type-based absolute dialects (paths or contexts present).
 func EncodeAbsolute(d *dtd.DTD, set *constraint.Set) (*AbsoluteEncoding, error) {
+	f := DTDForm{D: d}
+	return f.EncodeAbsolute(set)
+}
+
+// EncodeAbsolute is the package-level EncodeAbsolute over the form's
+// DTD, taking the narrowing from the form.
+func (f *DTDForm) EncodeAbsolute(set *constraint.Set) (*AbsoluteEncoding, error) {
+	d := f.D
 	prof := constraint.Classify(set)
 	if prof.Regular || prof.Relative {
 		return nil, fmt.Errorf("cardinality: EncodeAbsolute requires type-based absolute constraints, got %s", prof.ClassName())
 	}
 	sys := ilp.NewSystem()
-	flow := BuildFlow(sys, dtd.Narrow(d), nil)
+	flow := BuildFlow(sys, f.Narrowed(), nil)
 	enc := &AbsoluteEncoding{
 		Flow:  flow,
 		D:     d,

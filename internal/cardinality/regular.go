@@ -64,7 +64,8 @@ func (e *RegularEncoding) NumCells() int { return max(len(e.CellVars)-1, 0) }
 // encoding is exact: a solution exists iff the specification is
 // consistent (given connected support; see the decide loop).
 func EncodeRegular(d *dtd.DTD, set *constraint.Set) (*RegularEncoding, error) {
-	return EncodeRegularWithTargets(d, set, nil)
+	f := DTDForm{D: d}
+	return f.EncodeRegularWithTargets(set, nil)
 }
 
 // EncodeRegularWithTargets is EncodeRegular with additional tracked
@@ -72,6 +73,20 @@ func EncodeRegular(d *dtd.DTD, set *constraint.Set) (*RegularEncoding, error) {
 // variables but contributes no constraint of its own. The implication
 // checker uses this to track the constraint being refuted.
 func EncodeRegularWithTargets(d *dtd.DTD, set *constraint.Set, extra []constraint.Target) (*RegularEncoding, error) {
+	f := DTDForm{D: d}
+	return f.EncodeRegularWithTargets(set, extra)
+}
+
+// EncodeRegular is the package-level EncodeRegular over the form's
+// DTD, taking the narrowing and the region automata from the form.
+func (f *DTDForm) EncodeRegular(set *constraint.Set) (*RegularEncoding, error) {
+	return f.EncodeRegularWithTargets(set, nil)
+}
+
+// EncodeRegularWithTargets is the package-level
+// EncodeRegularWithTargets over the form's DTD.
+func (f *DTDForm) EncodeRegularWithTargets(set *constraint.Set, extra []constraint.Target) (*RegularEncoding, error) {
+	d := f.D
 	prof := constraint.Classify(set)
 	if prof.Relative {
 		return nil, fmt.Errorf("cardinality: EncodeRegular does not handle relative constraints")
@@ -110,26 +125,21 @@ func EncodeRegularWithTargets(d *dtd.DTD, set *constraint.Set, extra []constrain
 		return nil, fmt.Errorf("cardinality: %d distinct β.τ.l targets exceed the %d-region cap (the encoding is exponential in this count)", k, MaxRegions)
 	}
 
-	// Compile the automata and the product, over the element alphabet.
-	alphabet := append([]string(nil), d.Names...)
-	sort.Strings(alphabet)
+	// The automata and the product, over the element alphabet.
 	dfas := make([]*pathre.DFA, k)
 	for i, r := range enc.Regions {
-		// Minimizing each automaton before the product keeps the
-		// reachable product state space (and hence the flow system)
-		// small.
-		dfas[i] = pathre.CompileDFA(r.Expr, alphabet).Minimize()
+		dfas[i] = f.regionDFA(r)
 		r.DFA = dfas[i]
 	}
 	if k == 0 {
 		// No constraints: a single-state product suffices.
-		dfas = []*pathre.DFA{pathre.CompileDFA(pathre.AnyPath(), alphabet)}
+		dfas = []*pathre.DFA{f.anyDFA()}
 	}
 	product := pathre.NewProduct(dfas)
 	enc.Product = product
 
 	sys := ilp.NewSystem()
-	enc.Flow = BuildFlow(sys, dtd.Narrow(d), product)
+	enc.Flow = BuildFlow(sys, f.Narrowed(), product)
 	elements := enc.Flow.ElementNodes()
 	// accepts[e] is the set of regions whose automaton accepts at
 	// element node elements[e] (Lemma 5: the node is in nodes_D(β_i)).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/dtd"
@@ -52,5 +53,23 @@ func TestAbortErrorUnwrap(t *testing.T) {
 	}
 	if Aborted(nil) {
 		t.Fatalf("Aborted(nil) = true")
+	}
+}
+
+// lateTimerContext is a context whose deadline has passed but whose
+// timer has not run yet, as when a busy process has not scheduled the
+// goroutine that cancels it: Err still reports nil.
+type lateTimerContext struct{ context.Context }
+
+func (lateTimerContext) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestCheckPastDeadlineBeforeTimer: a check that ends after its
+// deadline aborts even when the context's timer has not fired yet.
+func TestCheckPastDeadlineBeforeTimer(t *testing.T) {
+	d := dtd.MustParse(geoDTD)
+	set := constraint.MustParseSet(geoConstraints)
+	_, err := CheckContext(lateTimerContext{context.Background()}, d, set, Options{})
+	if !Aborted(err) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CheckContext past its deadline returned %v, want a deadline abort", err)
 	}
 }

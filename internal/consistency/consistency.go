@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strconv"
+	"time"
 
 	"repro/internal/bruteforce"
 	"repro/internal/cardinality"
@@ -302,28 +303,97 @@ func (r *Result) conclude(v Verdict, cert *certificate.Certificate) {
 
 // Check validates and decides a specification.
 func Check(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
-	return checkWith(d, set, opts, nil)
+	return compile(d).check(set, opts)
 }
 
-// checkWith is Check with the prover's DTD analysis supplied by the caller
-// (nil: a fresh one), so Explain's first decision and its minimizer
-// share the folds.
-func checkWith(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.Analysis) (Result, error) {
-	res, sp, err := dispatch(d, set, opts, analysis)
-	if err != nil {
-		return res, err
+// compiled is a DTD compiled for checking: everything a decision
+// derives from D alone — the Ψ_D side of the paper's systems — built
+// on first use and kept for every later decision over the same D.
+// Check compiles its DTD per call; Explain compiles it once and hands
+// the one form to its first decision and to every subset check of the
+// minimizer. A form belongs to one call and is never shared between
+// goroutines.
+type compiled struct {
+	d *dtd.DTD
+	// lint holds the DTD's Validate result, its recursion and
+	// satisfiability, and speclint's DTD-only facts (productive,
+	// occurrable and σ-avoiding types, difference folds).
+	lint *speclint.DTDFacts
+	// enc holds the narrowed DTD and the minimized region automata of
+	// the encodings; nil until an encoding needs it.
+	enc *cardinality.DTDForm
+	// analysis holds the prover's DTD folds; nil until a saturation
+	// needs it.
+	analysis *prover.Analysis
+}
+
+// compile prepares the compiled form of d; it computes nothing up
+// front.
+func compile(d *dtd.DTD) *compiled {
+	return &compiled{d: d, lint: speclint.NewDTDFacts(d)}
+}
+
+// encoder returns the encodings' half of the form.
+func (c *compiled) encoder() *cardinality.DTDForm {
+	if c.enc == nil {
+		c.enc = cardinality.NewDTDForm(c.d)
 	}
+	return c.enc
+}
+
+// prover returns the prover's half of the form; the DTD must have
+// passed validation.
+func (c *compiled) prover() *prover.Analysis {
+	if c.analysis == nil {
+		c.analysis = prover.AnalyzeValidated(c.d, c.lint.Recursive())
+	}
+	return c.analysis
+}
+
+// check is Check over the compiled DTD.
+func (c *compiled) check(set *constraint.Set, opts Options) (Result, error) {
+	if err := c.lint.DTDErr(); err != nil {
+		return Result{}, err
+	}
+	if err := set.Validate(c.d); err != nil {
+		return Result{}, err
+	}
+	return c.checkValidated(set, opts)
+}
+
+// checkValidated is check for a constraint set that has passed
+// set.Validate over the form's valid DTD.
+func (c *compiled) checkValidated(set *constraint.Set, opts Options) (Result, error) {
+	res, sp := c.dispatch(set, opts)
 	// A fired context invalidates the outcome even when a procedure
 	// happened to finish: the caller asked for an abort, and a verdict
 	// computed on a canceled budget must not be mistaken for a timely
 	// one.
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return Result{}, &AbortError{Err: opts.Ctx.Err()}
+	if err := ctxErr(opts.Ctx); err != nil {
+		return Result{}, &AbortError{Err: err}
 	}
 	if opts.Ledger.Enabled() {
 		res.Attribution = checkRows(opts.Obs, sp)
 	}
 	return res, nil
+}
+
+// ctxErr is ctx.Err(), except that a deadline already passed reads as
+// context.DeadlineExceeded even before the context's timer has run:
+// the timer cancels from a goroutine of its own, which a busy process
+// may not schedule until a CPU-bound check has long finished. A nil
+// ctx never fires.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // CheckContext is Check bounded by a context: per-request deadlines
@@ -335,17 +405,10 @@ func CheckContext(ctx context.Context, d *dtd.DTD, set *constraint.Set, opts Opt
 	return Check(d, set, opts)
 }
 
-// dispatch is the decision core behind Check; it reports its result
-// and its ended consistency.check span without the final context
-// gate. analysis, when non-nil, is the prover's DTD analysis of d for
-// the opts.Explain saturation.
-func dispatch(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.Analysis) (Result, *obs.Span, error) {
-	if err := d.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	if err := set.Validate(d); err != nil {
-		return Result{}, nil, err
-	}
+// dispatch is the decision core behind Check, over a validated spec;
+// it reports its result and its ended consistency.check span without
+// the final context gate.
+func (c *compiled) dispatch(set *constraint.Set, opts Options) (Result, *obs.Span) {
 	opts = opts.withDefaults()
 	sp := opts.Obs.Start("consistency.check")
 	defer sp.End()
@@ -355,7 +418,7 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.An
 	if !opts.SkipLint {
 		opts.Progress.SetPhase("lint")
 		var rep *speclint.Report
-		labeled(opts, func() { rep = speclint.PrepassValidated(d, set, opts.Obs) }, "phase", "lint")
+		labeled(opts, func() { rep = c.lint.PrepassValidated(set, opts.Obs) }, "phase", "lint")
 		res.Stats.LintFindings = len(rep.Diags)
 		if diag := rep.SoundError(); diag != nil {
 			route(opts.Obs, "lint_short_circuit")
@@ -368,18 +431,15 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.An
 				sp.SetString("verdict", res.Verdict.String())
 				sp.SetString("early_exit", "speclint "+diag.RuleID)
 			}
-			return res, sp, nil
+			return res, sp
 		}
 	}
 
 	if opts.Explain {
 		opts.Progress.SetPhase("prover")
 		psp := opts.Obs.Start("prover")
-		if analysis == nil {
-			analysis = prover.Analyze(d)
-		}
 		var out prover.Outcome
-		labeled(opts, func() { out = analysis.Saturate(set) }, "phase", "prover")
+		labeled(opts, func() { out = c.prover().Saturate(set) }, "phase", "prover")
 		res.Stats.ProverFacts = out.Facts
 		if psp != nil {
 			psp.SetInt("facts", int64(out.Facts))
@@ -398,13 +458,13 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.An
 				sp.SetString("verdict", res.Verdict.String())
 				sp.SetString("early_exit", "prover refutation")
 			}
-			return res, sp, nil
+			return res, sp
 		}
 	}
 
 	// Everything past the prepasses is solver work, labeled as one "ilp"
 	// phase; the relative route refines it with a per-scope label.
-	labeled(opts, func() { decideRoute(d, set, prof, opts, &res) }, "phase", "ilp")
+	labeled(opts, func() { decideRoute(c, set, prof, opts, &res) }, "phase", "ilp")
 	if sp != nil {
 		sp.SetString("class", res.Class)
 		sp.SetString("method", res.Method)
@@ -414,18 +474,19 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.An
 		}
 		res.Stats.record(opts.Obs)
 	}
-	return res, sp, nil
+	return res, sp
 }
 
 // decideRoute runs the routed decision procedure — the ILP-bearing
 // stage of the pipeline, after the lint and prover prepasses have
 // declined to short-circuit.
-func decideRoute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opts Options, res *Result) {
+func decideRoute(c *compiled, set *constraint.Set, prof constraint.Profile, opts Options, res *Result) {
+	d := c.d
 	switch {
 	case prof.Relative:
 		route(opts.Obs, "relative")
 		opts.Progress.SetPhase("relative")
-		checkRelative(d, set, opts, res)
+		checkRelative(c, set, opts, res)
 	case len(set.Incls) == 0 && !prof.Regular:
 		// SAT(AC_K): keys alone never conflict; only the DTD matters.
 		route(opts.Obs, "keys-only")
@@ -433,7 +494,7 @@ func decideRoute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opts 
 		kp := opts.Obs.Start("route.keys_only")
 		res.Method = "keys-only (PTIME, Section 3.3)"
 		mallocs := allocCount(opts)
-		if d.Satisfiable() {
+		if c.lint.Satisfiable() {
 			recordCost(kp, opts, mallocs, "document", d.Root, ilp.Sat, ilp.Stats{}, 0, set)
 			res.conclude(Consistent, dtdSatCert(opts))
 			if !opts.SkipWitness {
@@ -450,11 +511,11 @@ func decideRoute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opts 
 	case prof.Regular:
 		route(opts.Obs, "regular")
 		opts.Progress.SetPhase("regular")
-		checkRegular(d, set, opts, res)
+		checkRegular(c, set, opts, res)
 	default:
 		route(opts.Obs, "absolute")
 		opts.Progress.SetPhase("absolute")
-		checkAbsolute(d, set, prof, opts, res)
+		checkAbsolute(c, set, prof, opts, res)
 	}
 }
 
@@ -497,12 +558,13 @@ func (s Stats) record(rec *obs.Recorder) {
 }
 
 // checkAbsolute decides type-based absolute constraint sets.
-func checkAbsolute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opts Options, res *Result) {
+func checkAbsolute(c *compiled, set *constraint.Set, prof constraint.Profile, opts Options, res *Result) {
+	d := c.d
 	sp := opts.Obs.Start("route.absolute")
 	defer sp.End()
 	mallocs := allocCount(opts)
 	esp := opts.Obs.Start("encode.absolute")
-	enc, err := cardinality.EncodeAbsolute(d, set)
+	enc, err := c.encoder().EncodeAbsolute(set)
 	esp.End()
 	if err != nil {
 		res.Verdict = Unknown
@@ -564,12 +626,13 @@ func checkAbsolute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opt
 }
 
 // checkRegular decides unary regular-path constraint sets.
-func checkRegular(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
+func checkRegular(c *compiled, set *constraint.Set, opts Options, res *Result) {
+	d := c.d
 	sp := opts.Obs.Start("route.regular")
 	defer sp.End()
 	mallocs := allocCount(opts)
 	esp := opts.Obs.Start("encode.regular")
-	enc, err := cardinality.EncodeRegular(d, set)
+	enc, err := c.encoder().EncodeRegular(set)
 	esp.End()
 	if err != nil {
 		res.Verdict = Unknown

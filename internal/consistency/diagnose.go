@@ -31,12 +31,13 @@ type Core struct {
 func MinimalCore(d *dtd.DTD, set *constraint.Set, opts Options) (Core, error) {
 	opts.SkipWitness = true
 	core := Core{}
-	if !d.Satisfiable() {
+	c := compile(d)
+	if !c.lint.Satisfiable() {
 		core.DTDUnsatisfiable = true
 		core.Constraints = &constraint.Set{}
 		return core, nil
 	}
-	res, err := Check(d, set, opts)
+	res, err := c.check(set, opts)
 	if err != nil {
 		return Core{}, err
 	}
@@ -97,7 +98,7 @@ func MinimalCore(d *dtd.DTD, set *constraint.Set, opts Options) (Core, error) {
 			}
 			continue
 		}
-		r, err := Check(d, candidate, opts)
+		r, err := c.check(candidate, opts)
 		core.Checks++
 		if err != nil || r.Verdict != Inconsistent {
 			// The constraint is load-bearing (or the reduced problem

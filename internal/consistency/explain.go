@@ -83,10 +83,10 @@ func Explain(d *dtd.DTD, set *constraint.Set, opts Options) (Explanation, error)
 	// An explanation carries no cost rows, so its checks record none.
 	opts.Ledger, opts.explaining = nil, true
 	ex := Explanation{}
-	// One DTD analysis serves the first decision's saturation and every
-	// saturation of the minimizer.
-	analysis := prover.Analyze(d)
-	res, err := checkWith(d, set, opts, analysis)
+	// One compiled DTD serves the first decision and every subset
+	// decision and saturation of the minimizer.
+	c := compile(d)
+	res, err := c.check(set, opts)
 	if err != nil {
 		return ex, err
 	}
@@ -97,13 +97,13 @@ func Explain(d *dtd.DTD, set *constraint.Set, opts Options) (Explanation, error)
 	if res.Verdict != Inconsistent {
 		return ex, nil
 	}
-	if !d.Satisfiable() {
+	if !c.lint.Satisfiable() {
 		// The DTD alone is the whole conflict; the constraint core is
 		// empty and there is nothing to repair in Σ.
 		return ex, nil
 	}
 
-	m := newMinimizer(d, set, opts, analysis)
+	m := newMinimizer(c, set, opts)
 	core := m.shrink(allIndices(set))
 
 	ex.Core = core
@@ -130,12 +130,11 @@ func Explain(d *dtd.DTD, set *constraint.Set, opts Options) (Explanation, error)
 // minimizer runs deletion-based core extraction with the prover as the
 // fast inconsistency oracle and the full check as the fallback.
 type minimizer struct {
-	d    *dtd.DTD
+	// form is the compiled DTD, shared by every subset decision and
+	// saturation.
+	form *compiled
 	set  *constraint.Set
 	opts Options
-	// analysis is the DTD-only half of every saturation, shared by all
-	// of them.
-	analysis *prover.Analysis
 	// decided memoizes the outcome of every subset decided so far,
 	// keyed by the subset's Σ-membership bitset, so shrink, hints and
 	// derivationFor never decide one subset twice.
@@ -155,17 +154,16 @@ type decision struct {
 	derivation []prover.Step
 }
 
-func newMinimizer(d *dtd.DTD, set *constraint.Set, opts Options, analysis *prover.Analysis) *minimizer {
+func newMinimizer(form *compiled, set *constraint.Set, opts Options) *minimizer {
 	opts.Explain = false // subsets run the plain pipeline; we saturate explicitly
 	opts.SkipWitness = true
 	opts.SkipCertificate = true
 	return &minimizer{
-		d:        d,
-		set:      set,
-		opts:     opts,
-		analysis: analysis,
-		decided:  map[string]decision{},
-		key:      make([]byte, (prover.ConstraintCount(set)+7)/8),
+		form:    form,
+		set:     set,
+		opts:    opts,
+		decided: map[string]decision{},
+		key:     make([]byte, (prover.ConstraintCount(set)+7)/8),
 	}
 }
 
@@ -234,22 +232,20 @@ func (m *minimizer) decide(indices []int) (decision, bool) {
 	if m.err != nil {
 		return decision{}, false
 	}
-	if ctx := m.opts.Ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			m.err = &AbortError{Err: err}
-			return decision{}, false
-		}
+	if err := ctxErr(m.opts.Ctx); err != nil {
+		m.err = &AbortError{Err: err}
+		return decision{}, false
 	}
 	sub := m.subset(indices)
-	if sub.Validate(m.d) != nil {
+	if sub.Validate(m.form.d) != nil {
 		// An ill-formed subset (foreign key without its paired key)
 		// decides nothing; treat as not provably inconsistent.
 		return decision{}, true
 	}
-	if out := m.analysis.Saturate(sub); out.Refuted {
+	if out := m.form.prover().Saturate(sub); out.Refuted {
 		return decision{inconsistent: true, derivation: out.Derivation}, true
 	}
-	res, err := Check(m.d, sub, m.opts)
+	res, err := m.form.checkValidated(sub, m.opts)
 	m.checks++
 	if err != nil {
 		if Aborted(err) {
@@ -311,7 +307,7 @@ func (m *minimizer) derivationFor(core []int) ([]prover.Step, bool) {
 		// The core went undecided only if shrink kept all of Σ, which
 		// the initial check already decided; only the derivation is
 		// missing, so saturating suffices.
-		out := m.analysis.Saturate(m.subset(core))
+		out := m.form.prover().Saturate(m.subset(core))
 		dec.derivation = out.Derivation
 	}
 	if dec.derivation == nil {
@@ -401,7 +397,7 @@ func (m *minimizer) action(c int) string {
 			rest = append(rest, i)
 		}
 	}
-	if m.subset(rest).Validate(m.d) != nil {
+	if m.subset(rest).Validate(m.form.d) != nil {
 		return "weaken"
 	}
 	return "drop"

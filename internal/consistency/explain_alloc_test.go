@@ -1,6 +1,7 @@
 package consistency_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/consistency"
@@ -8,11 +9,14 @@ import (
 )
 
 // TestExplainAllocs pins the allocation count of one explanation of the
-// two prover-heavy kinds of the explain workload: an unsat hierarchical
-// chain and an unsat tractable instance. The minimizer re-saturates a
-// constraint subset per candidate, and the saturation engine reuses
-// one run's tables for the next, so a new per-fact or per-run
-// allocation shows up here many times over.
+// two prover-heavy kinds of the explain workload, an unsat hierarchical
+// chain and an unsat tractable instance, and of its two solver-refuted
+// kinds, the seeded subset-sum and Fig3Regular draws of
+// BenchmarkExplain, which take the absolute and the regular route. The
+// minimizer re-saturates a constraint subset per candidate and decides
+// the rest through one compiled DTD, and the saturation engine reuses
+// one run's tables for the next, so a new per-fact, per-run or
+// per-subset allocation shows up here many times over.
 func TestExplainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -22,8 +26,14 @@ func TestExplainAllocs(t *testing.T) {
 		in   experiments.Instance
 		max  float64
 	}{
-		{"hierarchical-3", experiments.Fig4Hierarchical(3, false), 2869},
-		{"tractable-32", experiments.Thm35Tractable(32, false), 783},
+		{"hierarchical-3", experiments.Fig4Hierarchical(3, false), 2599},
+		{"tractable-32", experiments.Thm35Tractable(32, false), 454},
+		{"subsetsum", unsatDraw(func(rng *rand.Rand) experiments.Instance {
+			return experiments.Thm35SubsetSum(rng, 4, 256)
+		}), 571},
+		{"qbf-reg", unsatDraw(func(rng *rand.Rand) experiments.Instance {
+			return experiments.Fig3Regular(rng, 2)
+		}), 2750},
 	} {
 		n := testing.AllocsPerRun(10, func() {
 			ex, err := consistency.Explain(k.in.D, k.in.Set, consistency.Options{})

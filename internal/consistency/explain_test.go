@@ -255,7 +255,7 @@ func TestExplainStopsOnAbort(t *testing.T) {
 			// White box: a minimizer whose context is already dead
 			// decides nothing at all.
 			dead := &flipContext{Context: context.Background()}
-			m := newMinimizer(d, set, Options{Ctx: dead}, prover.Analyze(d))
+			m := newMinimizer(compile(d), set, Options{Ctx: dead})
 			core := m.shrink(allIndices(set))
 			m.hints(core)
 			if !Aborted(m.err) {

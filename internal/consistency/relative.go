@@ -55,10 +55,11 @@ func DLocality(d *dtd.DTD, set *constraint.Set) int {
 // decomposition of Theorem 4.3; everything else (the undecidable
 // general case, Theorem 4.1) gets a bounded witness search and an
 // honest Unknown.
-func checkRelative(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
+func checkRelative(c *compiled, set *constraint.Set, opts Options, res *Result) {
+	d := c.d
 	sp := opts.Obs.Start("route.relative")
 	defer sp.End()
-	if d.IsRecursive() || len(ConflictingPairs(d, set)) > 0 {
+	if c.lint.Recursive() || len(ConflictingPairs(d, set)) > 0 {
 		res.Method = "bounded search (SAT(RC) is undecidable, Theorem 4.1)"
 		sp.SetString("reason", "recursive DTD or conflicting scope pairs")
 		bf := bruteforce.Decide(d, set, opts.BruteForce)

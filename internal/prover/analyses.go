@@ -27,10 +27,16 @@ import (
 type Analysis struct {
 	d         *dtd.DTD
 	recursive bool
+	validated bool             // d.Validate() is known to be nil
 	ids       map[string]int32 // type name → id (index in d.Names)
 	root      int32
 
-	counter *cardinality.Counter
+	// nodes holds every content model over type ids, type x's rooted
+	// at nodes[start[x]] (see cnode); nil until first use.
+	nodes []cnode
+	start []int32
+	// counts[τ] is τ's count-bounds fold, nil until first use.
+	counts []*countFold
 	// bounds[row][τ] memoizes the count bounds of τ at a scope row:
 	// row 0 is the whole document, row σ+1 the content of a σ node.
 	// Rows are allocated on first use.
@@ -77,9 +83,20 @@ type occEdge struct {
 }
 
 // Analyze prepares the DTD-only analysis of d. It computes nothing up
-// front but the type numbering; each fold is built when a saturation
-// first needs it.
+// front but the type numbering and the DTD's recursion; each fold is
+// built when a saturation first needs it.
 func Analyze(d *dtd.DTD) *Analysis {
+	return analyze(d, d.IsRecursive(), false)
+}
+
+// AnalyzeValidated is Analyze for callers that have established
+// d.Validate() == nil and know whether d is recursive, so the analysis
+// repeats neither. The behavior is undefined if either does not hold.
+func AnalyzeValidated(d *dtd.DTD, recursive bool) *Analysis {
+	return analyze(d, recursive, true)
+}
+
+func analyze(d *dtd.DTD, recursive, validated bool) *Analysis {
 	ids := make(map[string]int32, len(d.Names))
 	for i, name := range d.Names {
 		ids[name] = int32(i)
@@ -90,7 +107,8 @@ func Analyze(d *dtd.DTD) *Analysis {
 	}
 	return &Analysis{
 		d:         d,
-		recursive: d.IsRecursive(),
+		recursive: recursive,
+		validated: validated,
 		ids:       ids,
 		root:      root,
 		diff:      map[int32][]int{},
@@ -110,7 +128,6 @@ func (a *Analysis) typeID(name string) (int32, bool) {
 // (0 for the document, σ+1 for the content of a σ node).
 func (a *Analysis) countBounds(row int, tau int32) cardinality.Bounds {
 	if a.bounds == nil {
-		a.counter = cardinality.NewCounter(a.d)
 		a.bounds = make([][]knownBounds, len(a.d.Names)+1)
 	}
 	cells := a.bounds[row]
@@ -119,11 +136,11 @@ func (a *Analysis) countBounds(row int, tau int32) cardinality.Bounds {
 		a.bounds[row] = cells
 	}
 	if c := &cells[tau]; !c.known {
-		name := a.d.Names[tau]
+		fold := a.countFold(tau)
 		if row == 0 {
-			c.Bounds = a.counter.Node(a.d.Root, name)
+			c.Bounds = fold.nodeBounds(a.root)
 		} else {
-			c.Bounds = a.counter.Content(a.d.Element(a.d.Names[row-1]).Content, name)
+			c.Bounds = fold.word(a.model(int32(row - 1)))
 		}
 		c.known = true
 	}
@@ -136,27 +153,26 @@ func (a *Analysis) countBounds(row int, tau int32) cardinality.Bounds {
 func (a *Analysis) occTables() ([]int32, []occEdge) {
 	if a.parentStart == nil {
 		n := len(a.d.Names)
-		rows := make([]map[string]occRange, n)
+		// rows[rowStart[σ]:rowStart[σ+1]] are σ's cells, in type order.
+		var rows []occCell
+		rowStart := make([]int32, n+1)
 		start := make([]int32, n+1)
-		for sigma, name := range a.d.Names {
-			rows[sigma] = occRanges(a.d.Element(name).Content)
-			for tau := range rows[sigma] {
-				if id, ok := a.ids[tau]; ok {
-					start[id+1]++
-				}
-			}
+		for sigma := range n {
+			rows = a.occFold(rows, a.model(int32(sigma)))
+			rowStart[sigma+1] = int32(len(rows))
+		}
+		for _, c := range rows {
+			start[c.tau+1]++
 		}
 		for tau := 0; tau < n; tau++ {
 			start[tau+1] += start[tau]
 		}
 		edges := make([]occEdge, start[n])
 		fill := append([]int32(nil), start[:n]...)
-		for sigma, row := range rows {
-			for tau, o := range row {
-				if id, ok := a.ids[tau]; ok {
-					edges[fill[id]] = occEdge{sigma: int32(sigma), occRange: o}
-					fill[id]++
-				}
+		for sigma := range n {
+			for _, c := range rows[rowStart[sigma]:rowStart[sigma+1]] {
+				edges[fill[c.tau]] = occEdge{sigma: int32(sigma), occRange: c.occRange}
+				fill[c.tau]++
 			}
 		}
 		a.parentStart, a.parents = start, edges
@@ -174,18 +190,14 @@ func (a *Analysis) gap(row int, sigma, tau int32) int {
 	pair := sigma*int32(len(a.d.Names)) + tau
 	md, ok := a.diff[pair]
 	if !ok {
-		byName := minDiff(a.d, a.d.Names[sigma], a.d.Names[tau])
-		md = make([]int, len(a.d.Names))
-		for x, name := range a.d.Names {
-			md[x] = byName[name]
-		}
+		md = a.minDiffDense(sigma, tau)
 		a.diff[pair] = md
 	}
 	var g int
 	if row == 0 {
 		g = md[a.root]
 	} else {
-		g = wordDiff(a.d.Element(a.d.Names[row-1]).Content, func(x string) int { return md[a.ids[x]] })
+		g = a.wordDiff(a.model(int32(row-1)), func(x int32) int { return md[x] })
 	}
 	a.gaps[key] = g
 	return g
@@ -222,10 +234,22 @@ func (a *Analysis) reachableAvoiding(p int32) []bool {
 		a.reach = make([][]bool, len(a.d.Names))
 	}
 	if a.reach[p] == nil {
-		byName := reachableAvoiding(a.d, a.d.Names[p])
 		set := make([]bool, len(a.d.Names))
-		for x, name := range a.d.Names {
-			set[x] = byName[name]
+		if a.root != p && a.root >= 0 {
+			nodes := a.models()
+			set[a.root] = true
+			queue := []int32{a.root}
+			for len(queue) > 0 {
+				x := queue[0]
+				queue = queue[1:]
+				from := a.start[x]
+				for _, nd := range nodes[from:nodes[from].end] {
+					if y := nd.ref; nd.kind == contentmodel.Name && y >= 0 && y != p && !set[y] {
+						set[y] = true
+						queue = append(queue, y)
+					}
+				}
+			}
 		}
 		a.reach[p] = set
 	}
@@ -256,15 +280,63 @@ func (a *Analysis) forcedNonEmpty(r Region, dfa *pathre.DFA) bool {
 	return v
 }
 
-// inFragment reports the DTD half of InFragment.
+// inFragment reports the DTD half of InFragment: d is valid and
+// non-recursive, and its content models are simple (simpleModels).
 func (a *Analysis) inFragment() bool {
 	if a.fragment == 0 {
 		a.fragment = -1
-		if dtdInFragment(a.d) {
+		if !a.recursive && (a.validated || a.d.Validate() == nil) && a.simpleModels() {
 			a.fragment = 1
 		}
 	}
 	return a.fragment > 0
+}
+
+// simpleModels reports whether every content model is a sequence of τ
+// and τ* factors (no choice, and a single type under every star), every
+// type is referenced from one model only, and no type is starred twice.
+func (a *Analysis) simpleModels() bool {
+	n := len(a.d.Names)
+	nodes := a.models()
+	owner := make([]int32, n)
+	starred := make([]bool, n)
+	for i := range owner {
+		owner[i] = -1
+	}
+	for x := range n {
+		from := a.start[x]
+		for i := from; i < nodes[from].end; i++ {
+			nd := nodes[i]
+			star := false
+			switch nd.kind {
+			case contentmodel.Choice:
+				return false
+			case contentmodel.Star:
+				if nodes[i+1].kind != contentmodel.Name {
+					return false
+				}
+				i++ // the body
+				nd, star = nodes[i], true
+			case contentmodel.Name:
+			default:
+				continue // Seq, Empty, Text
+			}
+			if nd.ref < 0 {
+				return false
+			}
+			if prev := owner[nd.ref]; prev >= 0 && prev != int32(x) {
+				return false // referenced from two content models
+			}
+			owner[nd.ref] = int32(x)
+			if star {
+				if starred[nd.ref] {
+					return false
+				}
+				starred[nd.ref] = true
+			}
+		}
+	}
+	return true
 }
 
 // negInf is the -∞ sentinel of the difference analysis: "the difference

@@ -2,7 +2,6 @@ package prover
 
 import (
 	"repro/internal/constraint"
-	"repro/internal/contentmodel"
 	"repro/internal/dtd"
 )
 
@@ -22,41 +21,7 @@ import (
 // The differential harness uses this predicate to select the specs on
 // which prover-consistent must imply Check-consistent.
 func InFragment(d *dtd.DTD, set *constraint.Set) bool {
-	return set != nil && dtdInFragment(d) && setInFragment(set)
-}
-
-// dtdInFragment is InFragment's condition on the DTD alone.
-func dtdInFragment(d *dtd.DTD) bool {
-	if d == nil || d.Validate() != nil || d.IsRecursive() {
-		return false
-	}
-	// One occurrence record per type across the whole DTD.
-	plain := map[string]int{} // bare references
-	starred := map[string]int{}
-	owner := map[string]string{} // type -> referencing model's type
-	for _, name := range d.Names {
-		items, ok := flattenSimple(d.Element(name).Content)
-		if !ok {
-			return false
-		}
-		for _, it := range items {
-			if prev, seen := owner[it.ref]; seen && prev != name {
-				return false // referenced from two content models
-			}
-			owner[it.ref] = name
-			if it.star {
-				starred[it.ref]++
-			} else {
-				plain[it.ref]++
-			}
-		}
-	}
-	for _, name := range d.Names {
-		if s := starred[name]; s > 1 {
-			return false
-		}
-	}
-	return true
+	return set != nil && d != nil && Analyze(d).inFragment() && setInFragment(set)
 }
 
 // setInFragment is InFragment's condition on the constraint set alone.
@@ -76,41 +41,6 @@ func setInFragment(set *constraint.Set) bool {
 		}
 	}
 	return true
-}
-
-// item is one factor of a flattened simple content model: a type
-// reference, optionally starred.
-type item struct {
-	ref  string
-	star bool
-}
-
-// flattenSimple decomposes a content model into a sequence of τ and τ*
-// factors, rejecting choices, nested stars and non-atomic star bodies.
-func flattenSimple(e *contentmodel.Expr) ([]item, bool) {
-	switch e.Kind {
-	case contentmodel.Empty, contentmodel.Text:
-		return nil, true
-	case contentmodel.Name:
-		return []item{{ref: e.Ref}}, true
-	case contentmodel.Star:
-		body := e.Kids[0]
-		if body.Kind != contentmodel.Name {
-			return nil, false
-		}
-		return []item{{ref: body.Ref, star: true}}, true
-	case contentmodel.Seq:
-		var out []item
-		for _, k := range e.Kids {
-			sub, ok := flattenSimple(k)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, sub...)
-		}
-		return out, true
-	}
-	return nil, false // Choice or unknown kind
 }
 
 // hasAbsoluteKey reports whether set contains an absolute, path-free

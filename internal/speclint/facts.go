@@ -14,18 +14,32 @@ import (
 // saturated additions cannot overflow.
 const negInf = math.MinInt / 4
 
-// facts lazily computes and memoizes the structural analyses shared by
-// the rules, so that e.g. Productive runs at most once per lint pass
-// regardless of how many rules consult it.
+// facts is one lint pass's view of a spec: the DTD-only facts, which
+// may be shared with other passes over the same DTD, plus the
+// constraint set and its memoized well-formedness violations.
 type facts struct {
-	d   *dtd.DTD
+	*DTDFacts
 	set *constraint.Set
-
-	dtdErrDone bool
-	dtdErr     error
 
 	wfDone bool
 	wf     []constraint.WFViolation
+}
+
+// DTDFacts lazily computes and memoizes the structural analyses of one
+// DTD that the rules consult: validity, productivity, occurrability,
+// recursion, satisfiability, the σ-avoiding types and the
+// cardinality-difference folds. Nothing in it depends on the
+// constraint set, so a caller linting many constraint sets over one
+// DTD (the unsat-core minimizer decides a subset per candidate) builds
+// one DTDFacts and pays for each analysis once.
+//
+// A DTDFacts is not safe for concurrent use: its memos fill in as
+// rules consult them.
+type DTDFacts struct {
+	d *dtd.DTD
+
+	dtdErrDone bool
+	dtdErr     error
 
 	productive map[string]bool
 	occurrable map[string]bool
@@ -46,9 +60,15 @@ type facts struct {
 	diffMemo map[[2]string]map[string]int
 }
 
+// NewDTDFacts prepares the analyses of d (which may be nil: a nil DTD
+// is invalid). It computes nothing up front.
+func NewDTDFacts(d *dtd.DTD) *DTDFacts {
+	return &DTDFacts{d: d}
+}
+
 // DTDErr returns the DTD's own well-formedness error (nil DTDs count as
 // invalid), memoized.
-func (f *facts) DTDErr() error {
+func (f *DTDFacts) DTDErr() error {
 	if !f.dtdErrDone {
 		f.dtdErrDone = true
 		if f.d == nil {
@@ -80,10 +100,19 @@ func (f *facts) Clean() bool {
 	return f.DTDErr() == nil && len(f.WF()) == 0
 }
 
-// Productive memoizes dtd.Productive.
-func (f *facts) Productive() map[string]bool {
+// Productive memoizes dtd.Productive. On a valid non-recursive DTD
+// every type is productive (by induction over the topological order,
+// as in Satisfiable), so the fixpoint only runs on the others.
+func (f *DTDFacts) Productive() map[string]bool {
 	if f.productive == nil {
-		f.productive = f.d.Productive()
+		if f.DTDErr() == nil && !f.Recursive() {
+			f.productive = make(map[string]bool, len(f.d.Names))
+			for _, name := range f.d.Names {
+				f.productive[name] = true
+			}
+		} else {
+			f.productive = f.d.Productive()
+		}
 	}
 	return f.productive
 }
@@ -92,7 +121,7 @@ func (f *facts) Productive() map[string]bool {
 // non-recursive DTD is always satisfiable (every type derives its
 // minimal word by induction over the topological order), which keeps
 // the prepass off the Productive fixpoint on the common case.
-func (f *facts) Satisfiable() bool {
+func (f *DTDFacts) Satisfiable() bool {
 	if !f.satisfiableDone {
 		f.satisfiableDone = true
 		if f.DTDErr() == nil && !f.Recursive() {
@@ -105,7 +134,7 @@ func (f *facts) Satisfiable() bool {
 }
 
 // Recursive memoizes dtd.IsRecursive.
-func (f *facts) Recursive() bool {
+func (f *DTDFacts) Recursive() bool {
 	if !f.recursiveDone {
 		f.recursiveDone = true
 		f.recursive = f.d.IsRecursive()
@@ -117,23 +146,24 @@ func (f *facts) Recursive() bool {
 // one conforming document. A type occurs iff it is the root of a
 // satisfiable DTD, or some occurrable parent's content model can match
 // a word that contains it and whose other symbols are all productive.
-// Computed as a least fixpoint seeded at the root.
-func (f *facts) Occurrable() map[string]bool {
+// Computed as a least fixpoint seeded at the root, in which every
+// content model is walked once, when its type first occurs.
+func (f *DTDFacts) Occurrable() map[string]bool {
 	if f.occurrable != nil {
 		return f.occurrable
 	}
 	occ := map[string]bool{}
-	prod := f.Productive()
-	ok := func(y string) bool { return prod[y] }
-	if prod[f.d.Root] {
+	w := occWalker{prod: f.Productive()}
+	if w.prod[f.d.Root] {
 		occ[f.d.Root] = true
 		queue := []string{f.d.Root}
 		for len(queue) > 0 {
 			p := queue[0]
 			queue = queue[1:]
-			content := f.d.Element(p).Content
-			for _, y := range content.Alphabet() {
-				if !occ[y] && occursIn(content, y, ok) {
+			w.buf = w.buf[:0]
+			w.walk(f.d.Element(p).Content)
+			for _, y := range w.buf {
+				if !occ[y] {
 					occ[y] = true
 					queue = append(queue, y)
 				}
@@ -144,38 +174,52 @@ func (f *facts) Occurrable() map[string]bool {
 	return occ
 }
 
-// occursIn reports whether e can match a word that contains the symbol
-// y and whose element symbols all satisfy ok (i.e. a word realizable by
-// productive subtrees).
-func occursIn(e *contentmodel.Expr, y string, ok func(string) bool) bool {
+// occWalker collects, in one walk of a content model, every symbol
+// that occurs in some word of the model whose element symbols are all
+// productive.
+type occWalker struct {
+	prod map[string]bool
+	buf  []string
+}
+
+// walk reports whether e matches a word of productive symbols
+// (MatchSubset) and appends to buf the symbols that occur in such a
+// word. A sequence only matches when every factor does, so a failing
+// sequence takes back what its factors appended.
+func (w *occWalker) walk(e *contentmodel.Expr) bool {
 	switch e.Kind {
 	case contentmodel.Empty, contentmodel.Text:
-		return false
+		return true
 	case contentmodel.Name:
-		return e.Ref == y && ok(y)
+		if !w.prod[e.Ref] {
+			return false
+		}
+		w.buf = append(w.buf, e.Ref)
+		return true
 	case contentmodel.Seq:
-		// Every factor must match something; at least one factor's word
-		// must contain y.
+		mark, all := len(w.buf), true
+		for _, k := range e.Kids {
+			if !w.walk(k) {
+				all = false
+			}
+		}
+		if !all {
+			w.buf = w.buf[:mark]
+		}
+		return all
+	case contentmodel.Choice:
 		any := false
 		for _, k := range e.Kids {
-			if !k.MatchSubset(ok) {
-				return false
-			}
-			if occursIn(k, y, ok) {
+			if w.walk(k) {
 				any = true
 			}
 		}
 		return any
-	case contentmodel.Choice:
-		for _, k := range e.Kids {
-			if occursIn(k, y, ok) {
-				return true
-			}
-		}
-		return false
 	case contentmodel.Star:
-		// One repetition containing y suffices.
-		return occursIn(e.Kids[0], y, ok)
+		// Zero repetitions always match; one repetition of a matching
+		// body contributes its symbols.
+		w.walk(e.Kids[0])
+		return true
 	}
 	return false
 }
@@ -183,7 +227,7 @@ func occursIn(e *contentmodel.Expr, y string, ok func(string) bool) bool {
 // Avoid returns the set of element types that can derive a finite tree
 // containing no σ node anywhere (σ itself excluded by definition).
 // Computed as a Productive-style least fixpoint that never admits σ.
-func (f *facts) Avoid(sigma string) map[string]bool {
+func (f *DTDFacts) Avoid(sigma string) map[string]bool {
 	if f.avoidMemo == nil {
 		f.avoidMemo = map[string]map[string]bool{}
 	}
@@ -210,14 +254,14 @@ func (f *facts) Avoid(sigma string) map[string]bool {
 
 // MustOccur reports whether every conforming document contains a σ
 // node: the root cannot derive a tree that avoids σ.
-func (f *facts) MustOccur(sigma string) bool {
+func (f *DTDFacts) MustOccur(sigma string) bool {
 	return f.d.Root == sigma || !f.Avoid(sigma)[f.d.Root]
 }
 
 // MustOccurUnder reports whether every c node's proper descendants
 // include a σ node: no word of P(c) consists solely of types that can
 // avoid σ.
-func (f *facts) MustOccurUnder(c, sigma string) bool {
+func (f *DTDFacts) MustOccurUnder(c, sigma string) bool {
 	avoid := f.Avoid(sigma)
 	return !f.d.Element(c).Content.MatchSubset(func(y string) bool { return avoid[y] })
 }
@@ -227,7 +271,7 @@ func (f *facts) MustOccurUnder(c, sigma string) bool {
 // count(t) is the number of t nodes in the tree (x included). negInf
 // means the difference is unbounded below. Only meaningful on
 // non-recursive, satisfiable DTDs; callers must check f.Recursive().
-func (f *facts) MinDiff(sigma, tau string) map[string]int {
+func (f *DTDFacts) MinDiff(sigma, tau string) map[string]int {
 	key := [2]string{sigma, tau}
 	if f.diffMemo == nil {
 		f.diffMemo = map[[2]string]map[string]int{}
@@ -261,7 +305,7 @@ func (f *facts) MinDiff(sigma, tau string) map[string]int {
 // WordDiff returns the minimum of count(σ) − count(τ) over the forests
 // derivable from a word of the content model e (the per-symbol values
 // come from MinDiff).
-func (f *facts) WordDiff(e *contentmodel.Expr, sigma, tau string) int {
+func (f *DTDFacts) WordDiff(e *contentmodel.Expr, sigma, tau string) int {
 	diff := f.MinDiff(sigma, tau)
 	return wordDiff(e, func(x string) int { return diff[x] })
 }

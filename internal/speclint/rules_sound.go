@@ -118,13 +118,12 @@ func ruleOrphanRequiredSource(f *facts, emit func(Diagnostic)) {
 	if !f.Clean() || !f.Satisfiable() {
 		return
 	}
-	occ := f.Occurrable()
 	for _, c := range f.set.Incls {
 		if c.From.Path != nil || c.To.Path != nil {
 			continue
 		}
 		sigma, tau := c.From.Type, c.To.Type
-		if sigma == tau || occ[tau] {
+		if sigma == tau || f.Occurrable()[tau] {
 			continue
 		}
 		var required bool

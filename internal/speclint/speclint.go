@@ -192,7 +192,7 @@ func (r *Report) Counts() (errors, warnings, infos int) {
 // diagnostic blaming the rule itself. rec may be nil; when set, each
 // firing rule bumps the counter "speclint.rule.<id>".
 func Run(d *dtd.DTD, set *constraint.Set, rec *obs.Recorder) *Report {
-	return run(newFacts(d, set), rec, registry)
+	return run(newFacts(NewDTDFacts(d), set), rec, registry)
 }
 
 // Prepass executes only the sound rules (SL101, SL201, SL202) — the
@@ -200,7 +200,7 @@ func Run(d *dtd.DTD, set *constraint.Set, rec *obs.Recorder) *Report {
 // cheap enough to run in front of every consistency check: on a spec
 // with no inclusions and a non-recursive DTD it does almost no work.
 func Prepass(d *dtd.DTD, set *constraint.Set, rec *obs.Recorder) *Report {
-	return run(newFacts(d, set), rec, soundRules())
+	return run(newFacts(NewDTDFacts(d), set), rec, soundRegistry)
 }
 
 // PrepassValidated is Prepass for callers that have already established
@@ -209,30 +209,43 @@ func Prepass(d *dtd.DTD, set *constraint.Set, rec *obs.Recorder) *Report {
 // tier-1 well-formedness analyses. The behavior is undefined if the
 // guarantee does not hold.
 func PrepassValidated(d *dtd.DTD, set *constraint.Set, rec *obs.Recorder) *Report {
-	f := newFacts(d, set)
+	f := NewDTDFacts(d)
 	f.dtdErrDone = true
-	f.wfDone = true
-	return run(f, rec, soundRules())
+	return f.PrepassValidated(set, rec)
 }
 
-var soundRegistry []Rule
+// PrepassValidated is the package-level PrepassValidated over these
+// facts' DTD, which must have passed DTDErr; set must pass
+// set.Validate. Every DTD-only analysis the sound rules consult is
+// taken from (and left in) f, so a caller prepassing several
+// constraint sets over one DTD computes each once.
+func (f *DTDFacts) PrepassValidated(set *constraint.Set, rec *obs.Recorder) *Report {
+	lf := newFacts(f, set)
+	lf.wfDone = true
+	return run(lf, rec, soundRegistry)
+}
 
-func soundRules() []Rule {
-	if soundRegistry == nil {
-		for _, r := range registry {
-			if r.Sound {
-				soundRegistry = append(soundRegistry, r)
-			}
+// soundRegistry lists the sound rules in registry order. It is built
+// at package initialization, so concurrent first prepasses only read
+// it.
+var soundRegistry = soundRules(registry)
+
+// soundRules returns the sound rules of rules, in order.
+func soundRules(rules []Rule) []Rule {
+	var out []Rule
+	for _, r := range rules {
+		if r.Sound {
+			out = append(out, r)
 		}
 	}
-	return soundRegistry
+	return out
 }
 
-func newFacts(d *dtd.DTD, set *constraint.Set) *facts {
+func newFacts(df *DTDFacts, set *constraint.Set) *facts {
 	if set == nil {
 		set = &constraint.Set{}
 	}
-	return &facts{d: d, set: set}
+	return &facts{DTDFacts: df, set: set}
 }
 
 func run(f *facts, rec *obs.Recorder, rules []Rule) *Report {

@@ -295,7 +295,7 @@ func TestDeterminism(t *testing.T) {
 // TestNeverPanics: a panicking rule is converted into a Warning
 // diagnostic instead of propagating.
 func TestNeverPanics(t *testing.T) {
-	f := newFacts(dtd.New("r"), nil)
+	f := newFacts(NewDTDFacts(dtd.New("r")), nil)
 	var got []Diagnostic
 	r := &Rule{ID: "SLX", run: func(*facts, func(Diagnostic)) { panic("boom") }}
 	runRule(f, r, func(d Diagnostic) { got = append(got, d) })
@@ -352,7 +352,7 @@ func TestOccursInAndAvoid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newFacts(d, nil)
+	f := newFacts(NewDTDFacts(d), nil)
 	occ := f.Occurrable()
 	for name, want := range map[string]bool{"r": true, "b": true, "q": false, "x": false} {
 		if occ[name] != want {
@@ -378,7 +378,7 @@ func TestMinDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newFacts(d, nil)
+	f := newFacts(NewDTDFacts(d), nil)
 	diff := f.MinDiff("s", "t")
 	if diff["r"] != 1 {
 		t.Errorf("minDiff(r) = %d, want 1 (two s, at most one t)", diff["r"])
@@ -396,7 +396,7 @@ func TestMinDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := newFacts(d2, nil)
+	f2 := newFacts(NewDTDFacts(d2), nil)
 	if got := f2.MinDiff("s", "t")["r"]; got != negInf {
 		t.Errorf("minDiff(r) with t* = %d, want negInf", got)
 	}
