@@ -20,6 +20,17 @@ import (
 // index, which value assignment uses to recover the regions the
 // element belongs to.
 func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.Node]int, error) {
+	origin := map[*xmltree.Node]int{}
+	tree, err := f.realize(vals, maxNodes, origin)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tree, origin, nil
+}
+
+// realize is Realize, recording every element's flow node in origin
+// unless origin is nil. The elements share one allocation.
+func (f *Flow) realize(vals []int64, maxNodes int, origin map[*xmltree.Node]int) (*xmltree.Tree, error) {
 	rem := make([]int64, len(f.Nodes))
 	var total int64
 	for i := range f.Nodes {
@@ -29,15 +40,18 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 		total += rem[i]
 	}
 	if maxNodes > 0 && total > int64(maxNodes) {
-		return nil, nil, fmt.Errorf("cardinality: solution needs %d elements, above the %d-node realization limit", total, maxNodes)
+		return nil, fmt.Errorf("cardinality: solution needs %d elements, above the %d-node realization limit", total, maxNodes)
 	}
 
-	origin := map[*xmltree.Node]int{}
 	type pending struct {
 		node *xmltree.Node
 		fn   int
 	}
-	var queue []pending
+	// The elements come from one slab of the solution's element count;
+	// an unbounded realization caps the slab at 2^16 and allocates any
+	// element past it on its own.
+	elements := make([]xmltree.Node, min(total, 1<<16))
+	queue := make([]pending, 0, len(elements))
 
 	newElement := func(fn int) (*xmltree.Node, error) {
 		if rem[fn] <= 0 {
@@ -45,11 +59,22 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 		}
 		rem[fn]--
 		name := f.N.Name(f.Nodes[fn].Sym)
-		n := xmltree.NewElement(name)
-		for _, l := range f.N.Orig.Attrs(name) {
-			n.SetAttr(l, "")
+		var n *xmltree.Node
+		if len(elements) > 0 {
+			n, elements = &elements[0], elements[1:]
+		} else {
+			n = new(xmltree.Node)
 		}
-		origin[n] = fn
+		n.Label = name
+		if attrs := f.N.Orig.Attrs(name); len(attrs) > 0 {
+			n.Attrs = make(map[string]string, len(attrs))
+			for _, l := range attrs {
+				n.Attrs[l] = ""
+			}
+		}
+		if origin != nil {
+			origin[n] = fn
+		}
 		queue = append(queue, pending{n, fn})
 		return n, nil
 	}
@@ -73,7 +98,7 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 			parent.Append(child)
 			return nil
 		case dtd.RuleSeq:
-			for _, op := range []int{f.operandA(fn), f.operandB(fn)} {
+			for _, op := range [2]int{f.operandA(fn), f.operandB(fn)} {
 				if rem[op] <= 0 {
 					return fmt.Errorf("cardinality: count of %s exhausted in sequence", f.nodeString(op))
 				}
@@ -114,19 +139,17 @@ func (f *Flow) Realize(vals []int64, maxNodes int) (*xmltree.Tree, map[*xmltree.
 
 	root, err := newElement(f.Root)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cardinality: root count is zero")
+		return nil, fmt.Errorf("cardinality: root count is zero")
 	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		if err := expand(p.node, p.fn); err != nil {
-			return nil, nil, err
+	for next := 0; next < len(queue); next++ {
+		if err := expand(queue[next].node, queue[next].fn); err != nil {
+			return nil, err
 		}
 	}
 	for i, r := range rem {
 		if r != 0 {
-			return nil, nil, fmt.Errorf("cardinality: %d unplaced instances of %s (disconnected support?)", r, f.nodeString(i))
+			return nil, fmt.Errorf("cardinality: %d unplaced instances of %s (disconnected support?)", r, f.nodeString(i))
 		}
 	}
-	return &xmltree.Tree{Root: root}, origin, nil
+	return &xmltree.Tree{Root: root}, nil
 }

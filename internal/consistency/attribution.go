@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"runtime"
+	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/ilp"
@@ -10,9 +11,9 @@ import (
 )
 
 // recordCost attaches one solved subproblem's cost row to its span
-// (introspect.Record). mallocs is allocCount at the subproblem's start.
+// (introspect.Record). start is markAllocs at the subproblem's start.
 // Without a recorder there is no span and the call is one nil check.
-func recordCost(sp *obs.Span, opts Options, mallocs uint64, key, tau string, verdict ilp.Verdict, st ilp.Stats, cuts int, set *constraint.Set) {
+func recordCost(sp *obs.Span, opts Options, start allocMark, key, tau string, verdict ilp.Verdict, st ilp.Stats, cuts int, set *constraint.Set) {
 	if sp == nil || opts.explaining {
 		return
 	}
@@ -28,21 +29,37 @@ func recordCost(sp *obs.Span, opts Options, mallocs uint64, key, tau string, ver
 		Cuts:         cuts,
 	}
 	if opts.Ledger.TracksAllocs() {
-		sc.Allocs = allocCount(opts) - mallocs
+		end := markAllocs(opts)
+		sc.Allocs = end.mallocs - start.mallocs
+		sc.AllocReadUS = (start.read + end.read).Microseconds()
 	}
 	introspect.Record(sp, sc, families(set))
 }
 
-// allocCount reads the heap-allocation counter when the check records
-// rows with allocation deltas, and is 0 otherwise: runtime.ReadMemStats
-// briefly stops the world, which time-only attribution should not pay.
-func allocCount(opts Options) uint64 {
+// allocMark is the heap-allocation counter at one point of a check,
+// and how long reading it took.
+type allocMark struct {
+	mallocs uint64
+	read    time.Duration
+}
+
+// markAllocs reads the heap-allocation counter when the check records
+// rows with allocation deltas, and is the zero mark otherwise:
+// runtime.ReadMemStats briefly stops the world, which time-only
+// attribution should not pay. The read is timed, and a row leaves the
+// time of its two reads out of its self time. runtime/metrics would
+// read without stopping the world, but it counts small objects only as
+// each processor retires its cached span of a size class, so the delta
+// of one subproblem is mostly noise (a Figure 4 hierarchical scope
+// that allocates 96 objects reads 0).
+func markAllocs(opts Options) allocMark {
 	if !opts.Obs.Enabled() || !opts.Ledger.TracksAllocs() {
-		return 0
+		return allocMark{}
 	}
+	t0 := time.Now()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
+	return allocMark{ms.Mallocs, time.Since(t0)}
 }
 
 // checkRows derives the cost rows of the check rooted at the span root

@@ -291,6 +291,19 @@ type Result struct {
 	Stats       Stats
 }
 
+// WitnessXML renders the verified witness, or returns "" when there is
+// none. A document certificate already holds the witness rendered, and
+// that rendering is returned instead of a second one.
+func (r *Result) WitnessXML() string {
+	if r.Witness == nil || !r.WitnessVerified {
+		return ""
+	}
+	if c := r.Certificate; c != nil && c.Witness != nil && c.Witness.Form == certificate.FormDocument {
+		return c.Witness.Document
+	}
+	return r.Witness.XML()
+}
+
 // conclude sets a definitive verdict together with its provenance.
 // Every Consistent/Inconsistent verdict must flow through conclude —
 // the certattach analyzer in tools/analyzers enforces it — so no
@@ -493,9 +506,9 @@ func decideRoute(c *compiled, set *constraint.Set, prof constraint.Profile, opts
 		opts.Progress.SetPhase("keys-only")
 		kp := opts.Obs.Start("route.keys_only")
 		res.Method = "keys-only (PTIME, Section 3.3)"
-		mallocs := allocCount(opts)
+		mark := markAllocs(opts)
 		if c.lint.Satisfiable() {
-			recordCost(kp, opts, mallocs, "document", d.Root, ilp.Sat, ilp.Stats{}, 0, set)
+			recordCost(kp, opts, mark, "document", d.Root, ilp.Sat, ilp.Stats{}, 0, set)
 			res.conclude(Consistent, dtdSatCert(opts))
 			if !opts.SkipWitness {
 				wsp := opts.Obs.Start("witness")
@@ -503,7 +516,7 @@ func decideRoute(c *compiled, set *constraint.Set, prof constraint.Profile, opts
 				wsp.End()
 			}
 		} else {
-			recordCost(kp, opts, mallocs, "document", d.Root, ilp.Unsat, ilp.Stats{}, 0, set)
+			recordCost(kp, opts, mark, "document", d.Root, ilp.Unsat, ilp.Stats{}, 0, set)
 			res.conclude(Inconsistent, dtdUnsatCert(opts))
 			kp.SetString("early_exit", "DTD unsatisfiable")
 		}
@@ -562,7 +575,7 @@ func checkAbsolute(c *compiled, set *constraint.Set, prof constraint.Profile, op
 	d := c.d
 	sp := opts.Obs.Start("route.absolute")
 	defer sp.End()
-	mallocs := allocCount(opts)
+	mark := markAllocs(opts)
 	esp := opts.Obs.Start("encode.absolute")
 	enc, err := c.encoder().EncodeAbsolute(set)
 	esp.End()
@@ -579,7 +592,7 @@ func checkAbsolute(c *compiled, set *constraint.Set, prof constraint.Profile, op
 		sp.SetString("exactness", "refutation-sound relaxation")
 	}
 	ilpRes, cuts := decideFlow(enc.Flow, opts)
-	recordCost(sp, opts, mallocs, "document", d.Root, ilpRes.Verdict, ilpRes.Stats, cuts, set)
+	recordCost(sp, opts, mark, "document", d.Root, ilpRes.Verdict, ilpRes.Stats, cuts, set)
 	res.Stats.addILP(ilpRes.Stats)
 	res.Stats.Cuts += cuts
 	switch ilpRes.Verdict {
@@ -630,7 +643,7 @@ func checkRegular(c *compiled, set *constraint.Set, opts Options, res *Result) {
 	d := c.d
 	sp := opts.Obs.Start("route.regular")
 	defer sp.End()
-	mallocs := allocCount(opts)
+	mark := markAllocs(opts)
 	esp := opts.Obs.Start("encode.regular")
 	enc, err := c.encoder().EncodeRegular(set)
 	esp.End()
@@ -646,7 +659,7 @@ func checkRegular(c *compiled, set *constraint.Set, opts Options, res *Result) {
 	}
 	res.Method = "state-tagged cell encoding (Theorem 3.4)"
 	ilpRes, cuts := decideFlow(enc.Flow, opts)
-	recordCost(sp, opts, mallocs, "document", d.Root, ilpRes.Verdict, ilpRes.Stats, cuts, set)
+	recordCost(sp, opts, mark, "document", d.Root, ilpRes.Verdict, ilpRes.Stats, cuts, set)
 	res.Stats.addILP(ilpRes.Stats)
 	res.Stats.Cuts += cuts
 	switch ilpRes.Verdict {
@@ -663,8 +676,9 @@ func checkRegular(c *compiled, set *constraint.Set, opts Options, res *Result) {
 		}
 		wsp := opts.Obs.Start("witness")
 		defer wsp.End()
+		// Witness has checked Σ on the form's region automata.
 		w, err := enc.Witness(ilpRes.Values, opts.WitnessMaxNodes)
-		res.attachConstructed(w, err, "witness construction failed: ", d, set)
+		res.attachConstructed(w, err, "witness construction failed: ", d, nil)
 	}
 }
 
@@ -735,9 +749,11 @@ func infeasibleCert(sys *ilp.System, encName certificate.Encoding, opts Options)
 }
 
 // adoptWitness attaches w when it passes the dynamic checker — it
-// conforms to d and satisfies set — and reports whether it did.
+// conforms to d and satisfies set — and reports whether it did. A nil
+// set means the witness's builder has already checked it against Σ,
+// which is then not checked again.
 func (r *Result) adoptWitness(w *xmltree.Tree, d *dtd.DTD, set *constraint.Set) bool {
-	if w.Conforms(d) != nil || !constraint.Satisfies(w, set) {
+	if w.Conforms(d) != nil || set != nil && !constraint.Satisfies(w, set) {
 		return false
 	}
 	r.Witness = w
@@ -748,7 +764,7 @@ func (r *Result) adoptWitness(w *xmltree.Tree, d *dtd.DTD, set *constraint.Set) 
 // attachConstructed attaches a witness built from a solver solution,
 // or records in the diagnosis why none was: its construction failed
 // (errPrefix says how that is reported) or it failed dynamic
-// verification.
+// verification. set is nil when the construction checked Σ itself.
 func (r *Result) attachConstructed(w *xmltree.Tree, err error, errPrefix string, d *dtd.DTD, set *constraint.Set) {
 	if err != nil {
 		r.Diagnosis = errPrefix + err.Error()

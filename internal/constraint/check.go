@@ -38,8 +38,25 @@ func (v Violation) String() string {
 // exactly the attributes R(τ), so a missing attribute means the
 // document does not even conform to the DTD the set was validated
 // against.
-func Check(t *xmltree.Tree, set *Set) []Violation {
-	c := &checker{t: t, set: set}
+func Check(t *xmltree.Tree, set *Set) []Violation { return CheckWith(t, set, nil) }
+
+// Satisfies reports whether the document satisfies the set.
+func Satisfies(t *xmltree.Tree, set *Set) bool { return len(Check(t, set)) == 0 }
+
+// Automata supplies the path automata of a check: PathDFA returns an
+// automaton accepting the root-to-node label paths of β.τ for a path
+// target β.τ, over an alphabet holding every label of the checked
+// tree, or nil to have the checker compile one. The checker only
+// reads the automata it is given.
+type Automata interface {
+	PathDFA(tgt Target) *pathre.DFA
+}
+
+// CheckWith is Check with the path automata taken from src where it
+// has them; a nil src compiles every path target's automaton, as
+// Check does. The violations are Check's, in Check's order.
+func CheckWith(t *xmltree.Tree, set *Set, src Automata) []Violation {
+	c := &checker{t: t, set: set, src: src, root: [1]*xmltree.Node{t.Root}}
 	var out []Violation
 	for _, k := range set.Keys {
 		out = append(out, c.checkKey(k)...)
@@ -50,18 +67,26 @@ func Check(t *xmltree.Tree, set *Set) []Violation {
 	return out
 }
 
-// Satisfies reports whether the document satisfies the set.
-func Satisfies(t *xmltree.Tree, set *Set) bool { return len(Check(t, set)) == 0 }
-
 // checker is the state of one Check call. A path target's extent does
-// not depend on the scope, so each distinct (β, τ) target is compiled
-// to a DFA and matched against the tree once per call, however many
-// constraints and scopes mention it.
+// not depend on the scope, so each distinct (β, τ) target is matched
+// against the tree once per call, however many constraints and scopes
+// mention it; its automaton comes from the call's Automata or is
+// compiled once. The nodes of the context types and of the type-based
+// absolute targets are bucketed by label in one pass, the first time
+// one of them is needed.
 type checker struct {
-	t     *xmltree.Tree
-	set   *Set
-	syms  []string
-	paths []pathExtent
+	t       *xmltree.Tree
+	set     *Set
+	src     Automata
+	syms    []string
+	paths   []pathExtent
+	byLabel map[string][]*xmltree.Node
+	// root is the one scope of every absolute constraint.
+	root [1]*xmltree.Node
+	// tuples is the tuple map every scope reuses, and scratch the
+	// buffer every relative type-based extent is collected in.
+	tuples  map[string]*xmltree.Node
+	scratch []*xmltree.Node
 }
 
 // pathExtent is the memoized node list of one path target.
@@ -71,8 +96,8 @@ type pathExtent struct {
 	nodes []*xmltree.Node
 }
 
-// alphabet returns the DFA alphabet shared by every path target of
-// the call: the tree's labels plus every symbol of the set's path
+// alphabet returns the DFA alphabet shared by every path target the
+// call compiles: the tree's labels plus every symbol of the set's path
 // targets, sorted.
 func (c *checker) alphabet() []string {
 	if c.syms != nil {
@@ -103,6 +128,35 @@ func (c *checker) alphabet() []string {
 	return c.syms
 }
 
+// ext returns ext(τ), the element nodes labelled typ in document
+// order, for a context type or the type of a type-based absolute
+// target of the set. One walk buckets the nodes of all those types.
+func (c *checker) ext(typ string) []*xmltree.Node {
+	if c.byLabel == nil {
+		c.byLabel = map[string][]*xmltree.Node{}
+		need := func(context string, tgt Target) {
+			if context != "" {
+				c.byLabel[context] = nil
+			} else if tgt.Path == nil {
+				c.byLabel[tgt.Type] = nil
+			}
+		}
+		for _, k := range c.set.Keys {
+			need(k.Context, k.Target)
+		}
+		for _, inc := range c.set.Incls {
+			need(inc.Context, inc.From)
+			need(inc.Context, inc.To)
+		}
+		c.t.Walk(func(n *xmltree.Node) {
+			if nodes, ok := c.byLabel[n.Label]; ok {
+				c.byLabel[n.Label] = append(nodes, n)
+			}
+		})
+	}
+	return c.byLabel[typ]
+}
+
 // extent returns the nodes a target ranges over: the whole document
 // (root included) for absolute constraints, and the proper descendants
 // of the scope node for relative ones (the x ≺ y of Section 4).
@@ -113,34 +167,40 @@ func (c *checker) extent(scope *xmltree.Node, relative bool, tgt Target) []*xmlt
 				return p.nodes
 			}
 		}
-		dfa := pathre.CompileDFA(pathre.Concat(tgt.Path, pathre.Symbol(tgt.Type)), c.alphabet())
+		var dfa *pathre.DFA
+		if c.src != nil {
+			dfa = c.src.PathDFA(tgt)
+		}
+		if dfa == nil {
+			dfa = pathre.CompileDFA(pathre.Concat(tgt.Path, pathre.Symbol(tgt.Type)), c.alphabet())
+		}
 		nodes := c.t.NodesAccepted(dfa)
 		c.paths = append(c.paths, pathExtent{tgt.Path, tgt.Type, nodes})
 		return nodes
 	}
-	var out []*xmltree.Node
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		if n.Label == tgt.Type {
-			out = append(out, n)
-		}
-		for _, k := range n.Children {
-			if !k.IsText {
-				walk(k)
-			}
-		}
+	if !relative {
+		return c.ext(tgt.Type)
 	}
-	if scope == nil {
-		scope = c.t.Root
+	// A relative extent is read once, before the next extent is asked
+	// for, so every one is collected in the same buffer.
+	c.scratch = c.scratch[:0]
+	for _, k := range scope.Children {
+		c.scratch = appendLabelled(c.scratch, k, tgt.Type)
 	}
-	if relative {
-		for _, k := range scope.Children {
-			if !k.IsText {
-				walk(k)
-			}
-		}
-	} else {
-		walk(scope)
+	return c.scratch
+}
+
+// appendLabelled appends the element nodes labelled typ of the subtree
+// at n to out, in document order.
+func appendLabelled(out []*xmltree.Node, n *xmltree.Node, typ string) []*xmltree.Node {
+	if n.IsText {
+		return out
+	}
+	if n.Label == typ {
+		out = append(out, n)
+	}
+	for _, k := range n.Children {
+		out = appendLabelled(out, k, typ)
 	}
 	return out
 }
@@ -148,19 +208,19 @@ func (c *checker) extent(scope *xmltree.Node, relative bool, tgt Target) []*xmlt
 // contexts returns the scopes a constraint is evaluated in: the tree
 // root for absolute constraints, every node of the context type for
 // relative ones.
-func contexts(t *xmltree.Tree, context string) []*xmltree.Node {
+func (c *checker) contexts(context string) []*xmltree.Node {
 	if context == "" {
-		return []*xmltree.Node{t.Root}
+		return c.root[:]
 	}
-	return t.Ext(context)
+	return c.ext(context)
 }
 
 func (c *checker) checkKey(k Key) []Violation {
 	var out []Violation
-	for _, scope := range contexts(c.t, k.Context) {
-		seen := map[string]*xmltree.Node{}
+	for _, scope := range c.contexts(k.Context) {
+		seen := c.seen()
 		for _, n := range c.extent(scope, k.Context != "", k.Target) {
-			vals, ok := n.AttrList(k.Target.Attrs)
+			key, ok := tupleKey(n, k.Target.Attrs)
 			if !ok {
 				out = append(out, Violation{
 					Constraint: k.String(),
@@ -169,8 +229,8 @@ func (c *checker) checkKey(k Key) []Violation {
 				})
 				continue
 			}
-			key := encodeTuple(vals)
 			if prev, dup := seen[key]; dup {
+				vals, _ := n.AttrList(k.Target.Attrs)
 				out = append(out, Violation{
 					Constraint: k.String(),
 					Msg:        fmt.Sprintf("duplicate key value %v", vals),
@@ -191,15 +251,15 @@ func (c *checker) checkInclusion(inc Inclusion) []Violation {
 	// tuple's key, so a set that failed validation with an arity
 	// mismatch must not probe the map at all.
 	sameArity := len(inc.From.Attrs) == len(inc.To.Attrs)
-	for _, scope := range contexts(c.t, inc.Context) {
-		have := map[string]bool{}
+	for _, scope := range c.contexts(inc.Context) {
+		have := c.seen()
 		for _, n := range c.extent(scope, inc.Context != "", inc.To) {
-			if vals, ok := n.AttrList(inc.To.Attrs); ok {
-				have[encodeTuple(vals)] = true
+			if key, ok := tupleKey(n, inc.To.Attrs); ok {
+				have[key] = n
 			}
 		}
 		for _, n := range c.extent(scope, inc.Context != "", inc.From) {
-			vals, ok := n.AttrList(inc.From.Attrs)
+			key, ok := tupleKey(n, inc.From.Attrs)
 			if !ok {
 				out = append(out, Violation{
 					Constraint: inc.String(),
@@ -208,7 +268,8 @@ func (c *checker) checkInclusion(inc Inclusion) []Violation {
 				})
 				continue
 			}
-			if !sameArity || !have[encodeTuple(vals)] {
+			if _, found := have[key]; !sameArity || !found {
+				vals, _ := n.AttrList(inc.From.Attrs)
 				out = append(out, Violation{
 					Constraint: inc.String(),
 					Msg:        fmt.Sprintf("value %v has no matching %s", vals, inc.To),
@@ -218,6 +279,30 @@ func (c *checker) checkInclusion(inc Inclusion) []Violation {
 		}
 	}
 	return out
+}
+
+// seen returns the call's tuple map, emptied: each scope of a key or
+// an inclusion collects the tuples it has met in it.
+func (c *checker) seen() map[string]*xmltree.Node {
+	if c.tuples == nil {
+		c.tuples = map[string]*xmltree.Node{}
+	}
+	clear(c.tuples)
+	return c.tuples
+}
+
+// tupleKey returns the map key of n's values of attrs, and false when
+// n lacks one of them.
+func tupleKey(n *xmltree.Node, attrs []string) (string, bool) {
+	if len(attrs) == 1 {
+		v, ok := n.Attrs[attrs[0]]
+		return v, ok
+	}
+	vals, ok := n.AttrList(attrs)
+	if !ok {
+		return "", false
+	}
+	return encodeTuple(vals), true
 }
 
 // encodeTuple encodes a value list as a map key. A one-value tuple is

@@ -24,6 +24,15 @@ func refEncodeTuple(vals []string) string {
 	return b.String()
 }
 
+// refContexts is the scope list Check used before it bucketed the
+// tree by label: the root, or one whole-tree walk per context type.
+func refContexts(t *xmltree.Tree, context string) []*xmltree.Node {
+	if context == "" {
+		return []*xmltree.Node{t.Root}
+	}
+	return t.Ext(context)
+}
+
 // refCheck is Check as it was before it memoized path extents and
 // keyed one-value tuples by the bare value: every extent call compiles
 // its path target's DFA again, and every tuple key is length-prefixed.
@@ -61,7 +70,7 @@ func refCheck(t *xmltree.Tree, set *Set) []Violation {
 	}
 	var out []Violation
 	for _, k := range set.Keys {
-		for _, scope := range contexts(t, k.Context) {
+		for _, scope := range refContexts(t, k.Context) {
 			seen := map[string]*xmltree.Node{}
 			for _, n := range extent(scope, k.Context != "", k.Target) {
 				vals, ok := n.AttrList(k.Target.Attrs)
@@ -79,7 +88,7 @@ func refCheck(t *xmltree.Tree, set *Set) []Violation {
 		}
 	}
 	for _, c := range set.Incls {
-		for _, scope := range contexts(t, c.Context) {
+		for _, scope := range refContexts(t, c.Context) {
 			have := map[string]bool{}
 			for _, n := range extent(scope, c.Context != "", c.To) {
 				if vals, ok := n.AttrList(c.To.Attrs); ok {

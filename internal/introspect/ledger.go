@@ -29,6 +29,9 @@ type ScopeCost struct {
 	// Allocs is the number of heap allocations during the subproblem
 	// (0 when allocation tracking was off).
 	Allocs uint64 `json:"allocs,omitempty"`
+	// AllocReadUS is the part of the span's wall time spent reading
+	// the allocation counter for Allocs, which ElapsedUS leaves out.
+	AllocReadUS int64 `json:"-"`
 	// Nodes, LPCalls, Pivots, Branches, Propagations are the solver
 	// effort spent on this subproblem; Cuts the connectivity cutting
 	// planes it needed.
@@ -102,7 +105,8 @@ func NewLedger() *Ledger { return &Ledger{} }
 // TrackAllocs asks for ScopeCost.Allocs. It costs two
 // runtime.ReadMemStats calls (each a brief stop-the-world) per row,
 // which batch tools accept and a serving hot path should not; the
-// default is off. It returns l for chaining.
+// default is off. A row's ElapsedUS leaves its reads out. It returns l
+// for chaining.
 func (l *Ledger) TrackAllocs() *Ledger {
 	if l != nil {
 		l.allocs = true
@@ -126,7 +130,7 @@ func Record(sp *obs.Span, sc ScopeCost, fam Family) {
 	if sp == nil {
 		return
 	}
-	attrs := [11]obs.Attr{{Key: "key", Str: sc.Key}, {Key: "type", Str: sc.Type}, {Key: "verdict", Str: sc.Verdict}}
+	attrs := [12]obs.Attr{{Key: "key", Str: sc.Key}, {Key: "type", Str: sc.Type}, {Key: "verdict", Str: sc.Verdict}}
 	n := 3
 	for _, c := range [...]struct {
 		key string
@@ -140,6 +144,7 @@ func Record(sp *obs.Span, sc ScopeCost, fam Family) {
 		{"cuts", int64(sc.Cuts)},
 		{"families", int64(fam)},
 		{"allocs", int64(sc.Allocs)},
+		{"alloc_read_us", sc.AllocReadUS},
 	} {
 		if c.v != 0 {
 			attrs[n] = obs.Attr{Key: c.key, Int: c.v, IsInt: true}
@@ -214,9 +219,11 @@ func rowOf(sp obs.SpanInfo) (sc ScopeCost, ok bool) {
 			sc.Families = Family(a.Int).Names()
 		case "allocs":
 			sc.Allocs = uint64(a.Int)
+		case "alloc_read_us":
+			sc.AllocReadUS = a.Int
 		}
 	}
-	sc.ElapsedUS = sp.DurationUS
+	sc.ElapsedUS = sp.DurationUS - sc.AllocReadUS
 	return sc, ok
 }
 

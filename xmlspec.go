@@ -376,9 +376,7 @@ func convertResult(res consistency.Result) Result {
 			ProverShortCircuit: res.Stats.ProverShortCircuit,
 		},
 	}
-	if res.Witness != nil && res.WitnessVerified {
-		out.Witness = res.Witness.XML()
-	}
+	out.Witness = res.WitnessXML()
 	return out
 }
 
