@@ -3,9 +3,10 @@ package contentmodel
 import "math/rand"
 
 // Match reports whether the word of child labels (element type names
-// and TextSymbol entries) is in the language of the expression. It uses
-// Brzozowski derivatives, which keeps validation allocation-light for
-// the short child lists typical of DTD content.
+// and TextSymbol entries) is in the language of the expression, by
+// Brzozowski derivatives. It builds new expressions for every symbol,
+// and nested stars make them grow with the word, so conformance
+// checking runs the compiled Automaton instead; Match is its reference.
 func (e *Expr) Match(word []string) bool {
 	cur := e
 	for _, sym := range word {

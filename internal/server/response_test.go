@@ -148,7 +148,7 @@ func TestRequestBodyLimit(t *testing.T) {
 // decision, witness, certificate, every sink, and the response write —
 // with a quiet logger. `make gates` runs it without the race detector,
 // whose instrumentation shifts the count.
-const maxServeCheckAllocs = 359
+const maxServeCheckAllocs = 331
 
 func TestServeCheckAllocs(t *testing.T) {
 	if raceEnabled {
