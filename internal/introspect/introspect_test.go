@@ -119,8 +119,9 @@ func TestRowsSortedByElapsed(t *testing.T) {
 }
 
 // TestRowsSelfTime: a row's time is its span's duration less the
-// recorded subproblems directly under it; other child spans stay in
-// their parent's time, and spans Record never annotated yield no row.
+// recorded subproblems directly under it and less the time its own
+// allocation-counter reads took; other child spans stay in their
+// parent's time, and spans Record never annotated yield no row.
 func TestRowsSelfTime(t *testing.T) {
 	var now time.Time
 	rec := obs.New()
@@ -131,7 +132,7 @@ func TestRowsSelfTime(t *testing.T) {
 	tick(10)
 	c1 := rec.Start("scope")
 	tick(30)
-	Record(c1, ScopeCost{Key: "c1", Type: "t1", Verdict: "sat", Nodes: 2, Pivots: 4, Cuts: 1}, FamilyKey)
+	Record(c1, ScopeCost{Key: "c1", Type: "t1", Verdict: "sat", Nodes: 2, Pivots: 4, Cuts: 1, Allocs: 7, AllocReadUS: 4}, FamilyKey)
 	c1.End()
 	c2 := rec.Start("scope")
 	tick(50)
@@ -152,7 +153,7 @@ func TestRowsSelfTime(t *testing.T) {
 	rows := Rows(rec.Spans())
 	want := []ScopeCost{
 		{Key: "c2", ElapsedUS: 50, LPCalls: 3, Branches: 5, Propagations: 6, Families: []string{"relative-key"}},
-		{Key: "c1", Type: "t1", Verdict: "sat", ElapsedUS: 30, Nodes: 2, Pivots: 4, Cuts: 1, Families: []string{"key"}},
+		{Key: "c1", Type: "t1", Verdict: "sat", ElapsedUS: 26, Allocs: 7, AllocReadUS: 4, Nodes: 2, Pivots: 4, Cuts: 1, Families: []string{"key"}},
 		{Key: "p", Verdict: "unsat", ElapsedUS: 20, Families: []string{"key", "multi-attribute", "regular"}},
 		{Key: "g", ElapsedUS: 5, Allocs: 9},
 	}
