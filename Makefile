@@ -122,12 +122,13 @@ prove-smoke:
 # race detector (whose instrumentation shifts allocation counts and
 # slows checks past any ceiling): the allocation pins on the
 # obs-disabled library check, one encode per family, one verified
-# cache hit's scope vectors, one explanation of each prover-heavy
-# explain kind, one check that builds and verifies its witness, and one
-# /check miss through the daemon's handler (TestLibraryCheckAllocs,
-# TestEncodeAllocs, TestVerifyScopeVectorsAllocs, TestExplainAllocs,
-# TestWitnessCheckAllocs, TestServeCheckAllocs), the best-of-k
-# wall-time ceilings on the hard Figure 3/4 instances
+# cache hit's scope vectors, one replayed prover certificate, one
+# explanation of each prover-heavy explain kind, one check that builds
+# and verifies its witness, and one /check miss through the daemon's
+# handler (TestLibraryCheckAllocs, TestEncodeAllocs,
+# TestVerifyScopeVectorsAllocs, TestVerifyProverAllocs,
+# TestExplainAllocs, TestWitnessCheckAllocs, TestServeCheckAllocs),
+# the best-of-k wall-time ceilings on the hard Figure 3/4 instances
 # (TestCheckCeilings), and the deterministic int64 fast-path sentinel
 # (TestCeilingFastPathSentinel).
 gates:

@@ -60,11 +60,28 @@ func hardCases(tb testing.TB) []hardCase {
 	return out
 }
 
+// proverCase explains Thm35Tractable(32, false), whose explanation
+// certificate is a prover refutation, and stamps it with its spec
+// digest.
+func proverCase(tb testing.TB) hardCase {
+	tb.Helper()
+	in := experiments.Thm35Tractable(32, false)
+	ex, err := consistency.Explain(in.D, in.Set, consistency.Options{})
+	if err != nil || ex.Certificate == nil || ex.Certificate.Refutation == nil ||
+		ex.Certificate.Refutation.Source != certificate.SourceProver {
+		tb.Fatalf("prover: err %v, certificate %v", err, ex.Certificate)
+	}
+	dg := digest.Spec(in.D, in.Set)
+	ex.Certificate.SpecDigest = dg
+	return hardCase{"prover", in.D, in.Set, dg, ex.Certificate}
+}
+
 // BenchmarkVerify prices one verified cache hit's re-proof per
 // certificate form, with the spec digest supplied by the caller as
-// xmlspec.Spec.VerifyCertificate supplies its memo.
+// xmlspec.Spec.VerifyCertificate supplies its memo, and the replay of
+// a prover refutation.
 func BenchmarkVerify(b *testing.B) {
-	for _, hc := range hardCases(b) {
+	for _, hc := range append(hardCases(b), proverCase(b)) {
 		b.Run(hc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -96,8 +113,30 @@ func TestVerifyScopeVectorsAllocs(t *testing.T) {
 	}
 }
 
+// TestVerifyProverAllocs pins the allocation cost of replaying the
+// Thm35Tractable(32, false) explanation certificate's derivation. The
+// replay reads the DTD folds from one fresh prover Analysis; a
+// name-keyed fold or a second compile of a region automaton would
+// grow it.
+func TestVerifyProverAllocs(t *testing.T) {
+	const maxAllocs = 58
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	hc := proverCase(t)
+	n := testing.AllocsPerRun(20, func() {
+		if err := certificate.VerifyDigested(hc.d, hc.set, hc.cert, hc.digest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("verifying the prover certificate allocates %.0f times", n)
+	if n > maxAllocs {
+		t.Errorf("verifying the %s certificate allocates %.0f times, want ≤ %d", hc.name, n, maxAllocs)
+	}
+}
+
 func TestVerifyDigestedChecksStamp(t *testing.T) {
-	for _, hc := range hardCases(t) {
+	for _, hc := range append(hardCases(t), proverCase(t)) {
 		if err := certificate.Verify(hc.d, hc.set, hc.cert); err != nil {
 			t.Errorf("%s: Verify: %v", hc.name, err)
 		}

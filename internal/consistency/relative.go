@@ -314,9 +314,10 @@ func keyTau(key string) string {
 // built sub-documents as children. Each scope's witness is realized
 // once, however many instances the document holds of it.
 //
-// Every instance is charged its scope witness's element count, exit
-// leaves and sub-scope root included, against WitnessMaxNodes, and the
-// document is built only when the whole charge fits.
+// The composed document's node count is charged against
+// WitnessMaxNodes, and the document is built only when it fits. An
+// exit leaf of a scope witness and the root of the sub-scope witness
+// below it are one node of the document, so they are charged once.
 func (h *hierChecker) attachWitness(res *Result) {
 	b := &witnessBuilder{memo: h.memo, contexts: h.contexts, budget: h.opts.WitnessMaxNodes, scopes: map[string]*scopeWitness{}}
 	root := b.scope(map[string]bool{h.d.Root: true}, h.d.Root)
@@ -338,8 +339,8 @@ type scopeWitness struct {
 	// exits maps the label of every exit node of tree to the witness
 	// of the scope below it.
 	exits map[string]*scopeWitness
-	// charged is what one instance and the instances below its exits
-	// are charged, capped at WitnessMaxNodes + 1.
+	// charged is the node count of one composed instance, the
+	// instances below its exits included, capped at WitnessMaxNodes + 1.
 	charged int
 }
 
@@ -389,7 +390,7 @@ func (b *witnessBuilder) scope(chain map[string]bool, tau string) *scopeWitness 
 			ok = false
 			return
 		}
-		w.charged = min(w.charged+sub.charged, b.budget+1)
+		w.charged = min(w.charged+sub.charged-1, b.budget+1) // the exit is sub's root
 	})
 	if !ok {
 		return nil

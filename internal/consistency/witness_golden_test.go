@@ -23,10 +23,9 @@ const witnessGoldenPath = "testdata/witness.golden"
 // (regular) specs, a keys-only spec, the hierarchical and tractable
 // families, Figure 3 regular draws, the inexact absolute cell and the
 // bounded search of Figure 2(b), plus tight WitnessMaxNodes budgets
-// whose diagnoses the golden pins as well. A hierarchical witness
-// charges every scope instance it realizes, exit leaves included:
-// library's three instances hold 2 + 3 + 1 elements, and levels=6's
-// 63 instances hold 31·6 + 32·4 = 314.
+// whose diagnoses the golden pins as well. A hierarchical witness is
+// charged the composed document's size: library's is 5 elements, and
+// levels=6's is 252 (TestHierarchicalWitnessBudget pins that edge).
 func witnessSpecs(t testing.TB) []certSpec {
 	t.Helper()
 	var out []certSpec
@@ -131,6 +130,25 @@ func TestWitnessXMLRendersOnce(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { res.WitnessXML() }); n != 0 {
 			t.Errorf("%s: WitnessXML allocates %.0f times, want 0", s.name, n)
 		}
+	}
+}
+
+// TestHierarchicalWitnessBudget checks that a composed hierarchical
+// witness is charged its own size against WitnessMaxNodes, each exit
+// leaf and the sub-scope root below it once: Fig4Hierarchical(6)'s
+// 252-element witness is built at budget 252 and refused at 251.
+func TestHierarchicalWitnessBudget(t *testing.T) {
+	in := experiments.Fig4Hierarchical(6, true)
+	res, err := consistency.Check(in.D, in.Set, consistency.Options{WitnessMaxNodes: 252})
+	if err != nil || !res.WitnessVerified || res.Witness == nil {
+		t.Fatalf("budget 252: err %v, verified %v, diagnosis %q", err, res.WitnessVerified, res.Diagnosis)
+	}
+	if n := res.Witness.Size(); n != 252 {
+		t.Errorf("witness has %d nodes, want 252", n)
+	}
+	res, err = consistency.Check(in.D, in.Set, consistency.Options{WitnessMaxNodes: 251})
+	if err != nil || res.Witness != nil || !strings.Contains(res.Diagnosis, "exceeded its budget") {
+		t.Errorf("budget 251: err %v, witness %v, diagnosis %q", err, res.Witness != nil, res.Diagnosis)
 	}
 }
 

@@ -3,8 +3,6 @@ package prover
 import (
 	"math"
 
-	"repro/internal/cardinality"
-	"repro/internal/constraint"
 	"repro/internal/contentmodel"
 	"repro/internal/dtd"
 	"repro/internal/pathre"
@@ -71,7 +69,7 @@ type Analysis struct {
 
 // knownBounds is one memoized count-bounds cell.
 type knownBounds struct {
-	cardinality.Bounds
+	Bounds
 	known bool
 }
 
@@ -126,7 +124,7 @@ func (a *Analysis) typeID(name string) (int32, bool) {
 
 // countBounds returns the memoized count bounds of τ at a scope row
 // (0 for the document, σ+1 for the content of a σ node).
-func (a *Analysis) countBounds(row int, tau int32) cardinality.Bounds {
+func (a *Analysis) countBounds(row int, tau int32) Bounds {
 	if a.bounds == nil {
 		a.bounds = make([][]knownBounds, len(a.d.Names)+1)
 	}
@@ -227,8 +225,11 @@ func (a *Analysis) newRun() uint32 {
 	return a.runs
 }
 
-// reachableAvoiding returns the memoized reachableAvoiding(d, p) as a
-// set indexed by type id.
+// reachableAvoiding returns the set of types reachable from the root
+// in the type-reference graph without passing through p (the root
+// itself is included unless it is p), indexed by type id and memoized.
+// A type outside this set occurs in a conforming document only below
+// a p node: the soundness basis of the zero-dom rule.
 func (a *Analysis) reachableAvoiding(p int32) []bool {
 	if a.reach == nil {
 		a.reach = make([][]bool, len(a.d.Names))
@@ -256,13 +257,13 @@ func (a *Analysis) reachableAvoiding(p int32) []bool {
 	return a.reach[p]
 }
 
-// nodeDFA returns the DFA of the unary target t's node language over
-// the DTD's element types; r is t's region.
-func (a *Analysis) nodeDFA(t constraint.Target, r Region) *pathre.DFA {
+// nodeDFA returns the memoized DFA of region r's node language β·τ
+// over the DTD's element types, where beta is r's path β.
+func (a *Analysis) nodeDFA(r Region, beta *pathre.Expr) *pathre.DFA {
 	key := [2]string{r.Path, r.Type}
 	dfa, ok := a.dfas[key]
 	if !ok {
-		dfa = pathre.CompileDFA(nodeExprOf(t), a.d.Names)
+		dfa = pathre.CompileDFA(pathre.Concat(beta, pathre.Symbol(r.Type)), a.d.Names)
 		a.dfas[key] = dfa
 	}
 	return dfa
@@ -341,9 +342,9 @@ func (a *Analysis) simpleModels() bool {
 
 // negInf is the -∞ sentinel of the difference analysis: "the difference
 // can be made arbitrarily negative". Small enough that saturated
-// additions cannot overflow. (Mirrors the speclint prepass analysis,
-// which is unexported there by design — the prepass and the prover keep
-// independent rule sets.)
+// additions cannot overflow. The speclint prepass has its own fold
+// with the same sentinel (DTDFacts.MinDiff): the prepass and the prover
+// keep independent rule sets.
 const negInf = math.MinInt / 4
 
 // satAdd adds with saturation: negInf absorbs, and finite sums are
@@ -362,101 +363,6 @@ func satAdd(a, b int) int {
 	return s
 }
 
-// minDiff returns, for every type x, the minimum of
-// count(σ) − count(τ) over all conforming trees rooted at an x node
-// (x included); negInf means unbounded below. Only meaningful on
-// non-recursive DTDs — callers must check d.IsRecursive first.
-func minDiff(d *dtd.DTD, sigma, tau string) map[string]int {
-	memo := map[string]int{}
-	var nodeDiff func(x string) int
-	nodeDiff = func(x string) int {
-		if v, done := memo[x]; done {
-			return v
-		}
-		v := wordDiff(d.Element(x).Content, nodeDiff)
-		if x == sigma {
-			v = satAdd(v, 1)
-		}
-		if x == tau {
-			v = satAdd(v, -1)
-		}
-		memo[x] = v
-		return v
-	}
-	for _, name := range d.Names {
-		nodeDiff(name)
-	}
-	return memo
-}
-
-// wordDiff folds per-symbol minimum differences over a content model:
-// sequences add, choices take the minimum, a star is 0 repetitions
-// unless its body can go negative (then the minimum is unbounded).
-func wordDiff(e *contentmodel.Expr, diff func(string) int) int {
-	switch e.Kind {
-	case contentmodel.Empty, contentmodel.Text:
-		return 0
-	case contentmodel.Name:
-		return diff(e.Ref)
-	case contentmodel.Seq:
-		sum := 0
-		for _, k := range e.Kids {
-			sum = satAdd(sum, wordDiff(k, diff))
-			if sum == negInf {
-				return negInf
-			}
-		}
-		return sum
-	case contentmodel.Choice:
-		best := math.MaxInt
-		for _, k := range e.Kids {
-			if v := wordDiff(k, diff); v < best {
-				best = v
-			}
-		}
-		if best == math.MaxInt {
-			return 0
-		}
-		return best
-	case contentmodel.Star:
-		if wordDiff(e.Kids[0], diff) < 0 {
-			return negInf
-		}
-		return 0
-	}
-	return 0
-}
-
-// reachableAvoiding returns the set of types reachable from the root in
-// the type-reference graph without passing through p (the root itself
-// is included unless it is p). If a type is NOT in this set, every
-// occurrence of it in a conforming document sits below a p node — the
-// soundness basis of the zero-dom rule.
-func reachableAvoiding(d *dtd.DTD, p string) map[string]bool {
-	seen := map[string]bool{}
-	if d.Root == p {
-		return seen
-	}
-	seen[d.Root] = true
-	queue := []string{d.Root}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		el := d.Element(x)
-		if el == nil {
-			continue
-		}
-		for _, y := range el.Content.Alphabet() {
-			if y == p || seen[y] {
-				continue
-			}
-			seen[y] = true
-			queue = append(queue, y)
-		}
-	}
-	return seen
-}
-
 // occInf is the +∞ sentinel of the occurrence analysis: "a word of the
 // content model may repeat the type arbitrarily often".
 const occInf = math.MaxInt / 4
@@ -466,62 +372,4 @@ const occInf = math.MaxInt / 4
 // occurrences (Hi == occInf under a star).
 type occRange struct {
 	Lo, Hi int
-}
-
-// occRanges folds a content model into the occurrence interval of
-// every type it references, in a single walk: sequences add intervals,
-// choices take the union's hull, and a star drops the floor to zero
-// and lifts any positive ceiling to occInf.
-func occRanges(e *contentmodel.Expr) map[string]occRange {
-	switch e.Kind {
-	case contentmodel.Name:
-		return map[string]occRange{e.Ref: {Lo: 1, Hi: 1}}
-	case contentmodel.Seq:
-		out := map[string]occRange{}
-		for _, k := range e.Kids {
-			for t, o := range occRanges(k) {
-				cur := out[t]
-				hi := cur.Hi + o.Hi
-				if hi > occInf {
-					hi = occInf
-				}
-				out[t] = occRange{Lo: cur.Lo + o.Lo, Hi: hi}
-			}
-		}
-		return out
-	case contentmodel.Choice:
-		kids := make([]map[string]occRange, len(e.Kids))
-		union := map[string]bool{}
-		for i, k := range e.Kids {
-			kids[i] = occRanges(k)
-			for t := range kids[i] {
-				union[t] = true
-			}
-		}
-		out := map[string]occRange{}
-		for t := range union {
-			lo, hi := math.MaxInt, 0
-			for _, ko := range kids {
-				o := ko[t] // absent branch contributes zero occurrences
-				if o.Lo < lo {
-					lo = o.Lo
-				}
-				if o.Hi > hi {
-					hi = o.Hi
-				}
-			}
-			out[t] = occRange{Lo: lo, Hi: hi}
-		}
-		return out
-	case contentmodel.Star:
-		out := occRanges(e.Kids[0])
-		for t, o := range out {
-			if o.Hi > 0 {
-				o.Hi = occInf
-			}
-			out[t] = occRange{Lo: 0, Hi: o.Hi}
-		}
-		return out
-	}
-	return nil // Empty, Text: no type references
 }

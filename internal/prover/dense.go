@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/cardinality"
 	"repro/internal/contentmodel"
 )
 
@@ -52,15 +51,24 @@ func (a *Analysis) model(x int32) int32 {
 	return a.start[x]
 }
 
+// Bounds is a sound interval on a node count: every conforming tree (or
+// forest) has at least Min and, when Bounded, at most Max occurrences
+// of the counted type. Both are clamped at math.MaxInt/4 so downstream
+// saturated arithmetic cannot overflow.
+type Bounds struct {
+	Min     int
+	Max     int
+	Bounded bool
+}
+
 // countFold is the count-bounds fold of one type τ: for every type x,
 // the bounds on the τ nodes of a tree rooted at an x node (x
 // included), filled in on demand. The fold is exact on the
-// non-recursive DTDs it is used on, where it equals
-// cardinality.Counter's.
+// non-recursive DTDs it is used on.
 type countFold struct {
 	a    *Analysis
 	tau  int32
-	node []cardinality.Bounds
+	node []Bounds
 	done []bool
 }
 
@@ -71,13 +79,13 @@ func (a *Analysis) countFold(tau int32) *countFold {
 	}
 	if a.counts[tau] == nil {
 		n := len(a.d.Names)
-		a.counts[tau] = &countFold{a: a, tau: tau, node: make([]cardinality.Bounds, n), done: make([]bool, n)}
+		a.counts[tau] = &countFold{a: a, tau: tau, node: make([]Bounds, n), done: make([]bool, n)}
 	}
 	return a.counts[tau]
 }
 
 // nodeBounds returns the bounds for a tree rooted at an x node.
-func (c *countFold) nodeBounds(x int32) cardinality.Bounds {
+func (c *countFold) nodeBounds(x int32) Bounds {
 	if !c.done[x] {
 		b := c.word(c.a.model(x))
 		if x == c.tau {
@@ -95,17 +103,17 @@ func (c *countFold) nodeBounds(x int32) cardinality.Bounds {
 // model rooted at node i: sequences add, choices take the least
 // minimum and the greatest maximum, a star has minimum 0 and no
 // maximum unless its body never holds a τ node.
-func (c *countFold) word(i int32) cardinality.Bounds {
+func (c *countFold) word(i int32) Bounds {
 	nodes := c.a.nodes
 	nd := nodes[i]
 	switch nd.kind {
 	case contentmodel.Name:
 		if nd.ref < 0 {
-			return cardinality.Bounds{Bounded: true} // undeclared types never occur
+			return Bounds{Bounded: true} // undeclared types never occur
 		}
 		return c.nodeBounds(nd.ref)
 	case contentmodel.Seq:
-		sum := cardinality.Bounds{Bounded: true}
+		sum := Bounds{Bounded: true}
 		for k := i + 1; k < nd.end; k = nodes[k].end {
 			b := c.word(k)
 			sum.Min = addClamped(sum.Min, b.Min)
@@ -117,7 +125,7 @@ func (c *countFold) word(i int32) cardinality.Bounds {
 		}
 		return sum
 	case contentmodel.Choice:
-		best := cardinality.Bounds{Min: math.MaxInt, Bounded: true}
+		best := Bounds{Min: math.MaxInt, Bounded: true}
 		for k := i + 1; k < nd.end; k = nodes[k].end {
 			b := c.word(k)
 			best.Min = min(best.Min, b.Min)
@@ -133,15 +141,14 @@ func (c *countFold) word(i int32) cardinality.Bounds {
 		return best
 	case contentmodel.Star:
 		if b := c.word(i + 1); b.Bounded && b.Max == 0 {
-			return cardinality.Bounds{Bounded: true}
+			return Bounds{Bounded: true}
 		}
-		return cardinality.Bounds{}
+		return Bounds{}
 	}
-	return cardinality.Bounds{Bounded: true} // Empty, Text
+	return Bounds{Bounded: true} // Empty, Text
 }
 
-// addClamped adds non-negative counts, clamping at math.MaxInt/4 like
-// cardinality.Counter.
+// addClamped adds non-negative counts, clamping at math.MaxInt/4.
 func addClamped(a, b int) int {
 	s := a + b
 	if s > math.MaxInt/4 || s < 0 {
@@ -150,9 +157,10 @@ func addClamped(a, b int) int {
 	return s
 }
 
-// minDiffDense is minDiff over type ids: md[x] is the minimum of
-// count(σ) − count(τ) over the trees rooted at an x node, or negInf.
-// Only meaningful on non-recursive DTDs.
+// minDiffDense returns the difference fold of (σ, τ): md[x] is the
+// minimum of count(σ) − count(τ) over the conforming trees rooted at an
+// x node (x included), or negInf when it is unbounded below. Only
+// meaningful on non-recursive DTDs.
 func (a *Analysis) minDiffDense(sigma, tau int32) []int {
 	n := len(a.d.Names)
 	md := make([]int, n)
@@ -177,7 +185,10 @@ func (a *Analysis) minDiffDense(sigma, tau int32) []int {
 	return md
 }
 
-// wordDiff is the package's wordDiff over the model rooted at node i.
+// wordDiff folds per-symbol minimum differences over the model rooted
+// at node i: sequences add, choices take the minimum, a star is 0
+// repetitions unless its body can go negative (then the minimum is
+// unbounded).
 func (a *Analysis) wordDiff(i int32, diff func(int32) int) int {
 	nodes := a.nodes
 	nd := nodes[i]
@@ -218,8 +229,9 @@ type occCell struct {
 }
 
 // occFold appends to buf the occurrence interval of every type the
-// model rooted at node i references, one cell per type in id order —
-// occRanges over type ids. Sub-results are appended behind the
+// model rooted at node i references, one cell per type in id order:
+// sequences add intervals, choices take the union's hull, and a star
+// drops the floor to zero and lifts any positive ceiling to occInf. Sub-results are appended behind the
 // caller's cells and merged in place, so the fold needs no buffer but
 // buf.
 func (a *Analysis) occFold(buf []occCell, i int32) []occCell {

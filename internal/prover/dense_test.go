@@ -5,17 +5,16 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cardinality"
 	"repro/internal/contentmodel"
 	"repro/internal/dtd"
 )
 
 // TestDenseFoldsMatchStringFolds compares every id-based fold of the
-// Analysis with the string-keyed fold it replaces, table by table:
-// count bounds (cardinality.Counter) at the document and at every
-// content row, the difference folds (minDiff/wordDiff), the occurrence
-// table (occRanges), reachableAvoiding and the fragment test
-// (dtdInFragment). It runs over the testdata DTDs, fragment-shaped
+// Analysis with the name-keyed fold it replaced (folds_reference_test.go),
+// table by table: count bounds (refCounter) at the document and at
+// every content row, the difference folds (minDiff/wordDiff), the
+// occurrence table (occRanges), reachableAvoiding and the fragment
+// test (dtdInFragment). It runs over the testdata DTDs, fragment-shaped
 // DTDs with repeated and starred references, and random DTDs.
 func TestDenseFoldsMatchStringFolds(t *testing.T) {
 	var ds []*dtd.DTD
@@ -64,10 +63,10 @@ func TestDenseFoldsMatchStringFolds(t *testing.T) {
 		if d.IsRecursive() {
 			continue
 		}
-		counter := cardinality.NewCounter(d)
+		counter := newRefCounter(d)
 		for row := 0; row <= len(d.Names); row++ {
 			for tau, tname := range d.Names {
-				var want cardinality.Bounds
+				var want Bounds
 				if row == 0 {
 					want = counter.Node(d.Root, tname)
 				} else {

@@ -205,9 +205,9 @@ var Rules = []Rule{
 	{Name: "root-count", Sound: true,
 		Doc: "every conforming document has exactly one root node: count(r) = 1"},
 	{Name: "dtd-lower", Sound: true,
-		Doc: "count(τ)@s ≥ its minimum over conforming scope subtrees (cardinality.CountBounds)"},
+		Doc: "count(τ)@s ≥ its minimum over conforming scope subtrees (the DTD's count-bounds fold)"},
 	{Name: "dtd-upper", Sound: true,
-		Doc: "count(τ)@s ≤ its maximum over conforming scope subtrees, when finite (cardinality.CountBounds)"},
+		Doc: "count(τ)@s ≤ its maximum over conforming scope subtrees, when finite (the DTD's count-bounds fold)"},
 	{Name: "dtd-gap", Sound: true,
 		Doc: "count(τ)@s + g ≤ count(σ)@s where g = min of count(σ)−count(τ) over conforming scope subtrees"},
 	{Name: "key-ext", Sound: true,

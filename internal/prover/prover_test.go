@@ -37,6 +37,12 @@ func loadSpec(t *testing.T, dtdName, keysName string) (*dtd.DTD, *constraint.Set
 	return d, set
 }
 
+// LoadSpec is loadSpec for the external tests.
+func LoadSpec(t *testing.T, dtdName, keysName string) (*dtd.DTD, *constraint.Set) {
+	t.Helper()
+	return loadSpec(t, dtdName, keysName)
+}
+
 // requireRefuted asserts a replayable refutation whose derivation ends
 // in the document-scope contradiction, uses only registered sound
 // rules, and cites at least one constraint.
@@ -134,43 +140,6 @@ func TestSaturateConsistentSpecs(t *testing.T) {
 	set.Incls = nil
 	if out := Saturate(d, set); out.Refuted {
 		t.Errorf("geography keys without the inclusion refuted: %v", out.Derivation)
-	}
-}
-
-func TestReplayRejectsTampering(t *testing.T) {
-	d, set := loadSpec(t, "geography", "geography")
-	out := Saturate(d, set)
-	if !out.Refuted {
-		t.Fatal("expected refutation")
-	}
-
-	truncated := out.Derivation[:len(out.Derivation)-1]
-	if err := Replay(d, set, truncated); err == nil {
-		t.Error("Replay accepted a derivation without the final contradiction")
-	}
-
-	tampered := append([]Step(nil), out.Derivation...)
-	for i, st := range tampered {
-		if st.Rule == "dtd-gap" {
-			st.Fact.K += 5 // claim a larger forced gap than the DTD provides
-			tampered[i] = st
-			break
-		}
-	}
-	if err := Replay(d, set, tampered); err == nil {
-		t.Error("Replay accepted an inflated dtd-gap claim")
-	}
-
-	// Replaying against a weakened Σ must fail: the cited inclusion is
-	// gone, so the incl-le step no longer checks.
-	weak := set.Clone()
-	weak.Incls = nil
-	if err := Replay(d, weak, out.Derivation); err == nil {
-		t.Error("Replay accepted a derivation against a Σ missing its constraints")
-	}
-
-	if err := Replay(d, set, nil); err == nil {
-		t.Error("Replay accepted an empty derivation")
 	}
 }
 

@@ -7,35 +7,18 @@ import (
 )
 
 // regionOf builds the Region of a unary target: its node set is the
-// language L(β·τ) over root-to-node type paths (path-free targets get
-// β = _*, i.e. all τ nodes).
+// language L(β·τ) over root-to-node type paths.
 func regionOf(t constraint.Target) Region {
-	path := t.Path
-	if path == nil {
-		path = pathre.AnyPath()
-	}
-	return Region{Path: path.String(), Type: t.Type, Attr: t.Attrs[0]}
+	return Region{Path: targetPath(t).String(), Type: t.Type, Attr: t.Attrs[0]}
 }
 
-// nodeExprOf returns the node-language expression β·τ of a unary
-// target.
-func nodeExprOf(t constraint.Target) *pathre.Expr {
-	path := t.Path
-	if path == nil {
-		path = pathre.AnyPath()
+// targetPath returns a target's path β; path-free targets get β = _*,
+// i.e. all τ nodes.
+func targetPath(t constraint.Target) *pathre.Expr {
+	if t.Path == nil {
+		return pathre.AnyPath()
 	}
-	return pathre.Concat(path, pathre.Symbol(t.Type))
-}
-
-// nodeDFA compiles a region's node language from its rendered path
-// (pathre rendering round-trips through Parse). Replay uses this to
-// rebuild automata from the serialized facts alone.
-func nodeDFA(r Region, alphabet []string) (*pathre.DFA, error) {
-	beta, err := pathre.Parse(r.Path)
-	if err != nil {
-		return nil, err
-	}
-	return pathre.CompileDFA(pathre.Concat(beta, pathre.Symbol(r.Type)), alphabet), nil
+	return t.Path
 }
 
 // emptyIntersect reports L(a) ∩ L(b) = ∅ for complete DFAs over the

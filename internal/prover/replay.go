@@ -3,9 +3,9 @@ package prover
 import (
 	"fmt"
 
-	"repro/internal/cardinality"
 	"repro/internal/constraint"
 	"repro/internal/dtd"
+	"repro/internal/pathre"
 )
 
 // Replay re-checks a refutation derivation against (d, set) step by
@@ -15,6 +15,9 @@ import (
 // what the rule entails". It returns nil iff the derivation is a valid
 // proof that the specification is inconsistent, i.e. it ends in a
 // document-scope contradiction.
+//
+// The DTD folds come from a fresh Analysis of d, the tables the
+// saturation engine reads; Replay never runs the engine itself.
 func Replay(d *dtd.DTD, set *constraint.Set, steps []Step) error {
 	if d == nil || set == nil {
 		return fmt.Errorf("prover: replay needs a DTD and a constraint set")
@@ -29,7 +32,7 @@ func Replay(d *dtd.DTD, set *constraint.Set, steps []Step) error {
 	if last.Kind != FactFalse || last.Scope != "" {
 		return fmt.Errorf("prover: derivation does not end in a document-scope contradiction")
 	}
-	r := &replayer{d: d, set: set, steps: steps, counter: cardinality.NewCounter(d)}
+	r := &replayer{d: d, a: AnalyzeValidated(d, d.IsRecursive()), set: set, steps: steps}
 	for i := range steps {
 		if err := r.check(i); err != nil {
 			return fmt.Errorf("prover: step %d (%s): %w", i, steps[i].Rule, err)
@@ -39,10 +42,60 @@ func Replay(d *dtd.DTD, set *constraint.Set, steps []Step) error {
 }
 
 type replayer struct {
-	d       *dtd.DTD
-	set     *constraint.Set
-	steps   []Step
-	counter *cardinality.Counter
+	d     *dtd.DTD
+	a     *Analysis
+	set   *constraint.Set
+	steps []Step
+}
+
+// typeID returns the id of a declared element type, and an error for
+// any other name.
+func (r *replayer) typeID(name string) (int32, error) {
+	id, ok := r.a.typeID(name)
+	if !ok {
+		return 0, fmt.Errorf("type %q is not declared", name)
+	}
+	return id, nil
+}
+
+// count resolves a count quantity to its Analysis row (0 for the
+// document, σ+1 for the content of a σ node) and its type id.
+func (r *replayer) count(q Quantity) (row int, tau int32, err error) {
+	if q.Scope != "" {
+		s, err := r.typeID(q.Scope)
+		if err != nil {
+			return 0, 0, err
+		}
+		row = int(s) + 1
+	}
+	tau, err = r.typeID(q.Type)
+	return row, tau, err
+}
+
+// occ returns the interval of τ occurrences per word of σ's content
+// model, zero when the model does not reference τ.
+func (r *replayer) occ(sigma, tau int32) occRange {
+	start, edges := r.a.occTables()
+	for _, e := range edges[start[tau]:start[tau+1]] {
+		if e.sigma == sigma {
+			return e.occRange
+		}
+	}
+	return occRange{}
+}
+
+// regionDFA returns the node-language DFA of a region named in a fact,
+// rebuilt from its rendered path (pathre rendering round-trips through
+// Parse).
+func (r *replayer) regionDFA(reg Region) (*pathre.DFA, error) {
+	if _, err := r.typeID(reg.Type); err != nil {
+		return nil, err
+	}
+	beta, err := pathre.Parse(reg.Path)
+	if err != nil {
+		return nil, fmt.Errorf("region path %q: %w", reg.Path, err)
+	}
+	return r.a.nodeDFA(reg, beta), nil
 }
 
 // prem returns the j-th premise fact of step i, enforcing that premises
@@ -95,15 +148,11 @@ func (r *replayer) incl(i, j int) (constraint.Inclusion, int, error) {
 // checkQ validates that a quantity speaks about declared pieces of the
 // DTD.
 func (r *replayer) checkQ(q Quantity) error {
-	el := r.d.Element(q.Type)
-	if el == nil {
-		return fmt.Errorf("quantity over undeclared type %q", q.Type)
+	if _, _, err := r.count(q); err != nil {
+		return fmt.Errorf("quantity %s: %w", q, err)
 	}
-	if q.Ext && !el.HasAttr(q.Attr) {
+	if q.Ext && !r.d.Element(q.Type).HasAttr(q.Attr) {
 		return fmt.Errorf("quantity over undeclared attribute %s.%s", q.Type, q.Attr)
-	}
-	if q.Scope != "" && r.d.Element(q.Scope) == nil {
-		return fmt.Errorf("quantity scoped to undeclared type %q", q.Scope)
 	}
 	if !q.Ext && q.Path != "" {
 		return fmt.Errorf("path-restricted counts are not in the fact language")
@@ -145,15 +194,19 @@ func (r *replayer) check(i int) error {
 		return nil
 
 	case "dtd-lower", "dtd-upper", "dtd-gap":
-		if r.d.IsRecursive() {
+		if r.a.recursive {
 			return fmt.Errorf("DTD cardinality folds require a non-recursive DTD")
+		}
+		row, tau, err := r.count(f.Q1)
+		if err != nil {
+			return err
 		}
 		switch st.Rule {
 		case "dtd-lower":
 			if f.Kind != FactLower || f.Q1.Ext {
 				return fmt.Errorf("want a count lower bound")
 			}
-			b := r.bounds(f.Q1)
+			b := r.a.countBounds(row, tau)
 			if f.K > int64(b.Min) {
 				return fmt.Errorf("claimed %s ≥ %d but the minimum is %d", f.Q1, f.K, b.Min)
 			}
@@ -161,7 +214,7 @@ func (r *replayer) check(i int) error {
 			if f.Kind != FactUpper || f.Q1.Ext {
 				return fmt.Errorf("want a count upper bound")
 			}
-			b := r.bounds(f.Q1)
+			b := r.a.countBounds(row, tau)
 			if !b.Bounded {
 				return fmt.Errorf("%s has no finite maximum", f.Q1)
 			}
@@ -172,7 +225,11 @@ func (r *replayer) check(i int) error {
 			if f.Kind != FactLe || f.Q1.Ext || f.Q2.Ext || f.Q1.Type == f.Q2.Type {
 				return fmt.Errorf("want a gap between two distinct counts")
 			}
-			g := r.gap(f.Q1.Scope, f.Q2.Type, f.Q1.Type)
+			sigma, err := r.typeID(f.Q2.Type)
+			if err != nil {
+				return err
+			}
+			g := r.a.gap(row, sigma, tau)
 			if g == negInf || f.K > int64(g) {
 				return fmt.Errorf("claimed gap %d exceeds the true minimum difference", f.K)
 			}
@@ -313,11 +370,15 @@ func (r *replayer) check(i int) error {
 		if f.Kind != FactUpper || f.Q1.Ext || f.Q1.Path != "" || f.Q1.Scope != up.Q1.Scope {
 			return fmt.Errorf("conclusion must be a count upper bound at the premise's scope")
 		}
-		el := r.d.Element(f.Q1.Type)
-		if el == nil {
-			return fmt.Errorf("type %q is not declared", f.Q1.Type)
+		sigma, err := r.typeID(f.Q1.Type)
+		if err != nil {
+			return err
 		}
-		u := int64(occRanges(el.Content)[up.Q1.Type].Lo)
+		tau, err := r.typeID(up.Q1.Type)
+		if err != nil {
+			return err
+		}
+		u := int64(r.occ(sigma, tau).Lo)
 		if u < 1 {
 			return fmt.Errorf("words of %q's model need not contain %q", f.Q1.Type, up.Q1.Type)
 		}
@@ -330,15 +391,15 @@ func (r *replayer) check(i int) error {
 		if f.Kind != FactUpper || f.Q1.Ext || f.Q1.Path != "" {
 			return fmt.Errorf("conclusion must be a type-count upper bound")
 		}
-		// Recompute the full referencing-parent list; the premise list
-		// must cover it in declaration order, or a parent's
-		// contribution could be silently dropped.
-		var parents []string
-		for _, sigma := range r.d.Names {
-			if occRanges(r.d.Element(sigma).Content)[f.Q1.Type].Hi > 0 {
-				parents = append(parents, sigma)
-			}
+		// The premise list must cover the full referencing-parent list
+		// in declaration order, or a parent's contribution could be
+		// silently dropped.
+		tau, err := r.typeID(f.Q1.Type)
+		if err != nil {
+			return err
 		}
+		start, edges := r.a.occTables()
+		parents := edges[start[tau]:start[tau+1]]
 		if len(parents) == 0 {
 			return fmt.Errorf("type %q has no referencing parents", f.Q1.Type)
 		}
@@ -354,29 +415,29 @@ func (r *replayer) check(i int) error {
 				total = 1
 			}
 		} else {
-			scopeEl := r.d.Element(f.Q1.Scope)
-			if scopeEl == nil {
-				return fmt.Errorf("scope type %q is not declared", f.Q1.Scope)
+			scope, err := r.typeID(f.Q1.Scope)
+			if err != nil {
+				return err
 			}
-			rootOcc := occRanges(scopeEl.Content)[f.Q1.Type].Hi
+			rootOcc := r.occ(scope, tau).Hi
 			if rootOcc >= occInf {
 				return fmt.Errorf("the scope node alone admits unboundedly many %q children", f.Q1.Type)
 			}
 			total = int64(rootOcc)
 		}
-		for j, sigma := range parents {
+		for j, p := range parents {
 			up, err := r.prem(i, j)
 			if err != nil {
 				return err
 			}
+			sigma := r.d.Names[p.sigma]
 			if up.Kind != FactUpper || up.Q1 != (Quantity{Type: sigma, Scope: f.Q1.Scope}) {
 				return fmt.Errorf("premise %d must bound count(%s) at the conclusion's scope", j, sigma)
 			}
-			hi := occRanges(r.d.Element(sigma).Content)[f.Q1.Type].Hi
-			if hi >= occInf {
+			if p.Hi >= occInf {
 				return fmt.Errorf("%q's model admits unboundedly many %q children", sigma, f.Q1.Type)
 			}
-			total += int64(hi) * up.K
+			total += int64(p.Hi) * up.K
 			if total > gapCap {
 				total = gapCap
 			}
@@ -403,7 +464,15 @@ func (r *replayer) check(i int) error {
 		if f.Q1.Type == p.Q1.Type {
 			return fmt.Errorf("zero-dom must conclude about a different type")
 		}
-		if reachableAvoiding(r.d, p.Q1.Type)[f.Q1.Type] {
+		avoided, err := r.typeID(p.Q1.Type)
+		if err != nil {
+			return err
+		}
+		tau, err := r.typeID(f.Q1.Type)
+		if err != nil {
+			return err
+		}
+		if r.a.reachableAvoiding(avoided)[tau] {
 			return fmt.Errorf("%q is reachable from the root without %q", f.Q1.Type, p.Q1.Type)
 		}
 		return nil
@@ -543,16 +612,15 @@ func (r *replayer) check(i int) error {
 			f.R2.Attr != k.Target.Attrs[0] {
 			return fmt.Errorf("regions do not match the cited key's type and attribute")
 		}
-		alphabet := r.d.Names
-		d1, err := nodeDFA(f.R1, alphabet)
+		d1, err := r.regionDFA(f.R1)
 		if err != nil {
 			return err
 		}
-		d2, err := nodeDFA(f.R2, alphabet)
+		d2, err := r.regionDFA(f.R2)
 		if err != nil {
 			return err
 		}
-		kdfa, err := nodeDFA(regionOf(k.Target), alphabet)
+		kdfa, err := r.regionDFA(regionOf(k.Target))
 		if err != nil {
 			return err
 		}
@@ -569,11 +637,12 @@ func (r *replayer) check(i int) error {
 			f.Q1.Scope != "" || f.K > 1 {
 			return fmt.Errorf("want a document-scope region extent ≥ 1")
 		}
-		dfa, err := nodeDFA(Region{Path: f.Q1.Path, Type: f.Q1.Type, Attr: f.Q1.Attr}, r.d.Names)
+		reg := Region{Path: f.Q1.Path, Type: f.Q1.Type, Attr: f.Q1.Attr}
+		dfa, err := r.regionDFA(reg)
 		if err != nil {
 			return err
 		}
-		if !forcedNonEmpty(r.d, dfa) {
+		if !r.a.forcedNonEmpty(reg, dfa) {
 			return fmt.Errorf("region is not forced by the DTD")
 		}
 		return nil
@@ -607,21 +676,4 @@ func (r *replayer) check(i int) error {
 		return nil
 	}
 	return fmt.Errorf("unknown rule %q", st.Rule)
-}
-
-// bounds recomputes the DTD count bounds of a count quantity.
-func (r *replayer) bounds(q Quantity) cardinality.Bounds {
-	if q.Scope == "" {
-		return r.counter.Node(r.d.Root, q.Type)
-	}
-	return r.counter.Content(r.d.Element(q.Scope).Content, q.Type)
-}
-
-// gap recomputes the minimum of count(σ) − count(τ) at a scope.
-func (r *replayer) gap(scope, sigma, tau string) int {
-	md := minDiff(r.d, sigma, tau)
-	if scope == "" {
-		return md[r.d.Root]
-	}
-	return wordDiff(r.d.Element(scope).Content, func(x string) int { return md[x] })
 }

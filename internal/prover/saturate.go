@@ -785,7 +785,7 @@ func (e *engine) seedRegions() {
 		if k.Context != "" || !k.Target.Unary() {
 			continue
 		}
-		kdfa := e.a.nodeDFA(k.Target, regionOf(k.Target))
+		kdfa := e.a.nodeDFA(regionOf(k.Target), targetPath(k.Target))
 		attr := k.Target.Attrs[0]
 		covered := func(r region) bool {
 			return r.r.Type == k.Target.Type && r.r.Attr == attr && kdfa.Contains(r.dfa)
@@ -819,7 +819,7 @@ func (e *engine) candidate(t constraint.Target) int32 {
 	}
 	id := int32(len(e.regions))
 	e.regionOf[r] = id
-	e.regions = append(e.regions, region{r: r, dfa: e.a.nodeDFA(t, r), q: e.newQuantity(extent{region: id, count: -1})})
+	e.regions = append(e.regions, region{r: r, dfa: e.a.nodeDFA(r, targetPath(t)), q: e.newQuantity(extent{region: id, count: -1})})
 	return id
 }
 

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/cardinality"
 	"repro/internal/constraint"
 	"repro/internal/dtd"
 	"repro/internal/pathre"
@@ -75,7 +74,7 @@ type refAnalysis struct {
 	d         *dtd.DTD
 	recursive bool
 
-	counter   *cardinality.Counter
+	counter   *refCounter
 	occ       map[[2]string]occRange
 	parentsOf map[string][]string
 	diff      map[[2]string]map[string]int
@@ -101,9 +100,9 @@ func refAnalyze(d *dtd.DTD) *refAnalysis {
 }
 
 // countBounds returns the memoizing count-bounds folder.
-func (a *refAnalysis) countBounds() *cardinality.Counter {
+func (a *refAnalysis) countBounds() *refCounter {
 	if a.counter == nil {
-		a.counter = cardinality.NewCounter(a.d)
+		a.counter = newRefCounter(a.d)
 	}
 	return a.counter
 }
@@ -455,7 +454,7 @@ func (e *refEngine) seed() {
 		counter := e.a.countBounds()
 		for _, s := range e.scopes {
 			for _, tau := range e.rel[s] {
-				var b cardinality.Bounds
+				var b Bounds
 				if s == "" {
 					b = counter.Node(d.Root, tau)
 				} else {
