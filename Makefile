@@ -82,13 +82,16 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# bench runs the root benchmark families, then the compile and
+# bench runs the root benchmark families (BenchmarkParse among them),
+# then one verified /check hit through the daemon's handler
+# (BenchmarkServeCheckHit), then the compile and
 # certificate-verification microbenchmarks: one encode per family
 # (BenchmarkEncode) and one verified cache hit's re-proof per
 # certificate form (BenchmarkVerify), then one explanation per kind of
 # the explain workload (BenchmarkExplain).
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkServeCheckHit -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkVerify' -benchmem ./internal/cardinality ./internal/certificate
 	$(GO) test -run '^$$' -bench BenchmarkExplain -benchmem ./internal/consistency
 
@@ -121,13 +124,15 @@ prove-smoke:
 # gates runs the performance gates on the code under test, without the
 # race detector (whose instrumentation shifts allocation counts and
 # slows checks past any ceiling): the allocation pins on the
-# obs-disabled library check, one encode per family, one verified
-# cache hit's scope vectors, one replayed prover certificate, one
-# explanation of each prover-heavy explain kind, one check that builds
-# and verifies its witness, and one /check miss through the daemon's
-# handler (TestLibraryCheckAllocs, TestEncodeAllocs,
-# TestVerifyScopeVectorsAllocs, TestVerifyProverAllocs,
-# TestExplainAllocs, TestWitnessCheckAllocs, TestServeCheckAllocs),
+# obs-disabled library check, the parse of the paper's specs and of
+# one spec per hard serving family, one encode per family, one
+# verified cache hit's scope vectors, one replayed prover certificate,
+# one explanation of each prover-heavy explain kind, one check that
+# builds and verifies its witness, one /check miss and one verified
+# /check hit through the daemon's handler (TestLibraryCheckAllocs,
+# TestParseAllocs, TestEncodeAllocs, TestVerifyScopeVectorsAllocs,
+# TestVerifyProverAllocs, TestExplainAllocs, TestWitnessCheckAllocs,
+# TestServeCheckAllocs, TestServeCheckHitAllocs),
 # the best-of-k wall-time ceilings on the hard Figure 3/4 instances
 # (TestCheckCeilings), and the deterministic int64 fast-path sentinel
 # (TestCeilingFastPathSentinel).

@@ -552,3 +552,21 @@ func BenchmarkThm35TractableExact(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkParse parses the paper's specifications and one spec of
+// each hard serving-benchmark family from surface syntax: the DTD, the
+// constraint set, and its validation against the DTD, as xmlspec.Parse
+// runs them for every served request.
+func BenchmarkParse(b *testing.B) {
+	for _, c := range parseCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.dtd) + len(c.constraints)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(c.dtd, c.constraints); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

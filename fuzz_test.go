@@ -96,6 +96,12 @@ func FuzzDTDParse(f *testing.F) {
 		"<!-- comment --><!ELEMENT a EMPTY>",
 		"<!ELEMENT", "<!FOO >", "<!ELEMENT a (a)>", "garbage",
 		"<!ELEMENT a (b,>", "<!ATTLIST a x>",
+		// ATTLIST definitions with quoted, enumerated and #FIXED parts.
+		`<!ELEMENT a EMPTY><!ATTLIST a x CDATA #FIXED "v">`,
+		`<!ELEMENT a EMPTY><!ATTLIST a x (p|q) "p">`,
+		`<!ELEMENT a EMPTY><!ATTLIST a x CDATA "two words">`,
+		`<!ELEMENT a EMPTY><!ATTLIST a x CDATA ">" y CDATA #REQUIRED>`,
+		`<!ELEMENT a EMPTY><!ATTLIST a x NOTATION (n|m) 'n' y CDATA "open>`,
 	} {
 		f.Add(seed)
 	}

@@ -15,7 +15,6 @@ package constraint
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/dtd"
 	"repro/internal/pathre"
@@ -41,30 +40,28 @@ func (t Target) Unary() bool { return len(t.Attrs) == 1 }
 
 // String renders the target in the paper's notation.
 func (t Target) String() string {
-	var b strings.Builder
-	t.write(&b)
-	return b.String()
+	var buf [64]byte
+	return string(t.appendTo(buf[:0]))
 }
 
-func (t Target) write(b *strings.Builder) {
+func (t Target) appendTo(b []byte) []byte {
 	if t.Path != nil {
-		b.WriteString(t.Path.String())
-		b.WriteByte('.')
+		b = t.Path.AppendTo(b)
+		b = append(b, '.')
 	}
-	b.WriteString(t.Type)
+	b = append(b, t.Type...)
 	if len(t.Attrs) == 1 {
-		b.WriteByte('.')
-		b.WriteString(t.Attrs[0])
-		return
+		b = append(b, '.')
+		return append(b, t.Attrs[0]...)
 	}
-	b.WriteByte('[')
+	b = append(b, '[')
 	for i, a := range t.Attrs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(a)
+		b = append(b, a...)
 	}
-	b.WriteByte(']')
+	return append(b, ']')
 }
 
 // NodeString renders the target without its attributes (the right-hand
@@ -87,36 +84,39 @@ type Key struct {
 
 // String renders the key in the paper's notation.
 func (k Key) String() string {
-	var b strings.Builder
-	k.write(&b)
-	return b.String()
+	var buf [128]byte
+	return string(k.AppendTo(buf[:0]))
 }
 
-func (k Key) write(b *strings.Builder) {
-	openContext(b, k.Context)
-	k.Target.write(b)
-	b.WriteString(" -> ")
+// AppendTo appends the String rendering of k to b and returns the
+// extended buffer.
+func (k Key) AppendTo(b []byte) []byte {
+	b = openContext(b, k.Context)
+	b = k.Target.appendTo(b)
+	b = append(b, " -> "...)
 	if k.Target.Path != nil {
-		b.WriteString(k.Target.Path.String())
-		b.WriteByte('.')
+		b = k.Target.Path.AppendTo(b)
+		b = append(b, '.')
 	}
-	b.WriteString(k.Target.Type)
-	closeContext(b, k.Context)
+	b = append(b, k.Target.Type...)
+	return closeContext(b, k.Context)
 }
 
 // openContext and closeContext wrap a relative constraint's body in
 // its context type: ctx(body).
-func openContext(b *strings.Builder, ctx string) {
+func openContext(b []byte, ctx string) []byte {
 	if ctx != "" {
-		b.WriteString(ctx)
-		b.WriteByte('(')
+		b = append(b, ctx...)
+		b = append(b, '(')
 	}
+	return b
 }
 
-func closeContext(b *strings.Builder, ctx string) {
+func closeContext(b []byte, ctx string) []byte {
 	if ctx != "" {
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
+	return b
 }
 
 // Inclusion is an inclusion constraint From[X] ⊆ To[Y], optionally
@@ -129,17 +129,18 @@ type Inclusion struct {
 
 // String renders the inclusion in the paper's notation.
 func (c Inclusion) String() string {
-	var b strings.Builder
-	c.write(&b)
-	return b.String()
+	var buf [128]byte
+	return string(c.AppendTo(buf[:0]))
 }
 
-func (c Inclusion) write(b *strings.Builder) {
-	openContext(b, c.Context)
-	c.From.write(b)
-	b.WriteString(" ⊆ ")
-	c.To.write(b)
-	closeContext(b, c.Context)
+// AppendTo appends the String rendering of c to b and returns the
+// extended buffer.
+func (c Inclusion) AppendTo(b []byte) []byte {
+	b = openContext(b, c.Context)
+	b = c.From.appendTo(b)
+	b = append(b, " ⊆ "...)
+	b = c.To.appendTo(b)
+	return closeContext(b, c.Context)
 }
 
 // Set is a collection of constraints (a Σ).
@@ -162,16 +163,15 @@ func (s *Set) Size() int { return len(s.Keys) + len(s.Incls) }
 
 // String renders one constraint per line.
 func (s *Set) String() string {
-	var b strings.Builder
+	var buf [512]byte
+	b := buf[:0]
 	for _, k := range s.Keys {
-		k.write(&b)
-		b.WriteByte('\n')
+		b = append(k.AppendTo(b), '\n')
 	}
 	for _, c := range s.Incls {
-		c.write(&b)
-		b.WriteByte('\n')
+		b = append(c.AppendTo(b), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // AddKey appends a key constraint.

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/dtd"
+	"repro/internal/pathre"
 )
 
 // Violation codes: stable identifiers for each way a constraint set can
@@ -158,11 +159,25 @@ func (w *wfChecker) checkTarget(t Target) {
 			w.add(VioDuplicateAttr, "%s repeats attribute %q", w.what(), l)
 		}
 	}
-	if t.Path != nil {
+	if t.Path != nil && !w.declaresAll(t.Path) {
 		for _, sym := range t.Path.Symbols() {
 			if w.d.Element(sym) == nil {
 				w.add(VioUndeclaredType, "%s path mentions undeclared type %q", w.what(), sym)
 			}
 		}
 	}
+}
+
+// declaresAll reports whether every element type the path mentions is
+// declared, walking the path without collecting its symbols.
+func (w *wfChecker) declaresAll(p *pathre.Expr) bool {
+	if p.Kind == pathre.Sym && w.d.Element(p.Name) == nil {
+		return false
+	}
+	for _, k := range p.Kids {
+		if !w.declaresAll(k) {
+			return false
+		}
+	}
+	return true
 }

@@ -14,7 +14,6 @@ package contentmodel
 
 import (
 	"sort"
-	"strings"
 )
 
 // Kind discriminates the AST node variants of a content model.
@@ -63,71 +62,85 @@ func Ref(name string) *Expr { return &Expr{Kind: Name, Ref: name} }
 
 // NewSeq returns the concatenation of the given expressions, flattening
 // nested sequences and eliding ε operands. An empty argument list yields
-// ε; a single operand is returned unchanged.
-func NewSeq(xs ...*Expr) *Expr {
-	var kids []*Expr
+// ε; a single operand is returned unchanged. It does not retain xs.
+func NewSeq(xs ...*Expr) *Expr { return join(nil, Seq, xs) }
+
+// NewChoice returns the union of the given expressions, flattening
+// nested unions. An empty argument list yields ε; a single operand is
+// returned unchanged. It does not retain xs.
+func NewChoice(xs ...*Expr) *Expr { return join(nil, Choice, xs) }
+
+// join is NewSeq (kind Seq) and NewChoice (kind Choice). It takes the
+// node and its operand list from p's slabs, or allocates them when p is
+// nil.
+func join(p *parser, kind Kind, xs []*Expr) *Expr {
+	// ε is the unit of concatenation.
+	skip := func(x *Expr) bool { return kind == Seq && x.Kind == Empty }
+	n := 0
 	for _, x := range xs {
-		switch x.Kind {
-		case Empty:
-			// ε is the unit of concatenation.
-		case Seq:
+		switch {
+		case skip(x):
+		case x.Kind == kind:
+			n += len(x.Kids)
+		default:
+			n++
+		}
+	}
+	if n <= 1 {
+		for _, x := range xs {
+			switch {
+			case skip(x):
+			case x.Kind == kind && len(x.Kids) == 1:
+				return x.Kids[0]
+			case x.Kind != kind:
+				return x
+			}
+		}
+		return p.node(Empty, "", nil)
+	}
+	kids := p.list(n)
+	for _, x := range xs {
+		switch {
+		case skip(x):
+		case x.Kind == kind:
 			kids = append(kids, x.Kids...)
 		default:
 			kids = append(kids, x)
 		}
 	}
-	switch len(kids) {
-	case 0:
-		return Eps()
-	case 1:
-		return kids[0]
-	}
-	return &Expr{Kind: Seq, Kids: kids}
-}
-
-// NewChoice returns the union of the given expressions, flattening
-// nested unions. An empty argument list yields ε; a single operand is
-// returned unchanged.
-func NewChoice(xs ...*Expr) *Expr {
-	var kids []*Expr
-	for _, x := range xs {
-		if x.Kind == Choice {
-			kids = append(kids, x.Kids...)
-		} else {
-			kids = append(kids, x)
-		}
-	}
-	switch len(kids) {
-	case 0:
-		return Eps()
-	case 1:
-		return kids[0]
-	}
-	return &Expr{Kind: Choice, Kids: kids}
+	return p.node(kind, "", kids)
 }
 
 // NewStar returns the Kleene closure of x. Stars of ε and of stars are
 // simplified away.
-func NewStar(x *Expr) *Expr {
-	switch x.Kind {
-	case Empty:
-		return Eps()
-	case Star:
-		return x
-	}
-	return &Expr{Kind: Star, Kids: []*Expr{x}}
-}
+func NewStar(x *Expr) *Expr { return star(nil, x) }
 
 // Plus returns x+ desugared as (x, x*). Note that the result contains a
 // Kleene star, so "+" is unavailable in no-star DTDs.
-func Plus(x *Expr) *Expr { return NewSeq(x, NewStar(x)) }
+func Plus(x *Expr) *Expr { return plus(nil, x) }
 
 // Opt returns x? desugared as (x | ε).
-func Opt(x *Expr) *Expr {
+func Opt(x *Expr) *Expr { return opt(nil, x) }
+
+// star, plus and opt are NewStar, Plus and Opt, taking their nodes and
+// operand lists from p's slabs, or allocating them when p is nil.
+func star(p *parser, x *Expr) *Expr {
+	switch x.Kind {
+	case Empty:
+		return p.node(Empty, "", nil)
+	case Star:
+		return x
+	}
+	return p.node(Star, "", append(p.list(1), x))
+}
+
+func plus(p *parser, x *Expr) *Expr { return join(p, Seq, []*Expr{x, star(p, x)}) }
+
+func opt(p *parser, x *Expr) *Expr {
 	if x.Nullable() {
 		return x
 	}
-	return &Expr{Kind: Choice, Kids: []*Expr{x, Eps()}}
+	return p.node(Choice, "", append(p.list(2), x, p.node(Empty, "", nil)))
 }
 
 // Nullable reports whether the expression matches the empty word.
@@ -324,60 +337,64 @@ func (e *Expr) MinCount(name string) int {
 // "#PCDATA" for S, comma-separated sequences, "|"-separated choices and
 // a postfix "*" for stars, with parentheses as needed.
 func (e *Expr) String() string {
-	var b strings.Builder
-	e.render(&b, 0)
-	return b.String()
+	var buf [64]byte
+	return string(e.AppendTo(buf[:0]))
 }
 
+// AppendTo appends the String rendering of e to b and returns the
+// extended buffer.
+func (e *Expr) AppendTo(b []byte) []byte { return e.appendTo(b, 0) }
+
 // precedence levels: 0 choice, 1 seq, 2 atom/star.
-func (e *Expr) render(b *strings.Builder, prec int) {
+func (e *Expr) appendTo(b []byte, prec int) []byte {
 	switch e.Kind {
 	case Empty:
-		b.WriteString("EMPTY")
+		b = append(b, "EMPTY"...)
 	case Text:
-		b.WriteString(TextSymbol)
+		b = append(b, TextSymbol...)
 	case Name:
-		b.WriteString(e.Ref)
+		b = append(b, e.Ref...)
 	case Seq:
 		if prec > 1 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			k.render(b, 2)
+			b = k.appendTo(b, 2)
 		}
 		if prec > 1 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	case Choice:
 		if prec > 0 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteString(" | ")
+				b = append(b, " | "...)
 			}
 			// DTD syntax forbids mixing ',' and '|' at one level, so
 			// sequence operands of a choice are always parenthesized.
-			k.render(b, 2)
+			b = k.appendTo(b, 2)
 		}
 		if prec > 0 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	case Star:
 		// The star operand must parenthesize unless it is atomic.
 		switch e.Kids[0].Kind {
 		case Empty, Text, Name:
-			e.Kids[0].render(b, 2)
+			b = e.Kids[0].appendTo(b, 2)
 		default:
-			b.WriteByte('(')
-			e.Kids[0].render(b, 0)
-			b.WriteByte(')')
+			b = append(b, '(')
+			b = e.Kids[0].appendTo(b, 0)
+			b = append(b, ')')
 		}
-		b.WriteByte('*')
+		b = append(b, '*')
 	}
+	return b
 }
 
 // Equal reports structural equality of two expressions.

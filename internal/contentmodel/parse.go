@@ -3,7 +3,6 @@ package contentmodel
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // Parse parses a content model in DTD surface syntax. Accepted forms:
@@ -18,7 +17,23 @@ import (
 // "+" and "?" are desugared into star and union, so "+" makes a DTD
 // starred for the purposes of the no-star restriction.
 func Parse(src string) (*Expr, error) {
-	p := &parser{src: src}
+	var p Parser
+	return p.Parse(src)
+}
+
+// Parser parses content models like Parse, drawing the names, EMPTY,
+// #PCDATA, sequence and choice nodes of the expressions it returns, and
+// their operand lists, from shared slabs, so that the many small models
+// of one DTD allocate in bulk. The zero
+// value is ready to use. A Parser is not safe for concurrent use.
+type Parser struct {
+	p parser
+}
+
+// Parse parses one content model; see the package-level Parse.
+func (cp *Parser) Parse(src string) (*Expr, error) {
+	p := &cp.p
+	p.src, p.pos = src, 0
 	p.skipSpace()
 	if p.eof() {
 		return nil, p.errf("empty content model")
@@ -46,6 +61,50 @@ func MustParse(src string) *Expr {
 type parser struct {
 	src string
 	pos int
+	// kids is the operand stack nested parseExpr calls share; each
+	// level pushes above its caller's operands and pops its own once
+	// join has copied them out.
+	kids []*Expr
+	// nodes and lists are the slabs the next expression nodes and
+	// operand lists are cut from.
+	nodes []Expr
+	lists []*Expr
+}
+
+// slabSize is the length of a fresh slab that replaces one of length
+// last: one node or operand per three bytes of unparsed source, the
+// most the rest of this model can need once a name and its separator
+// take two, plus one — or, for a parser that has filled slabs before,
+// twice the last, up to 64. Leftovers serve the parser's next model.
+func (p *parser) slabSize(last int) int {
+	return min(max((len(p.src)-p.pos)/3+1, 2*last), 64)
+}
+
+// node returns a new expression node, cut from the slab (a nil p
+// allocates it on its own).
+func (p *parser) node(kind Kind, ref string, kids []*Expr) *Expr {
+	if p == nil {
+		return &Expr{Kind: kind, Ref: ref, Kids: kids}
+	}
+	if len(p.nodes) == cap(p.nodes) {
+		p.nodes = make([]Expr, 0, p.slabSize(cap(p.nodes)))
+	}
+	p.nodes = append(p.nodes, Expr{Kind: kind, Ref: ref, Kids: kids})
+	return &p.nodes[len(p.nodes)-1]
+}
+
+// list returns an empty operand list with room for exactly n operands,
+// cut from the slab (a nil p allocates it on its own).
+func (p *parser) list(n int) []*Expr {
+	if p == nil || n > 64 {
+		return make([]*Expr, 0, n)
+	}
+	if cap(p.lists)-len(p.lists) < n {
+		p.lists = make([]*Expr, 0, max(n, p.slabSize(cap(p.lists))))
+	}
+	at := len(p.lists)
+	p.lists = p.lists[:at+n]
+	return p.lists[at : at : at+n]
 }
 
 func (p *parser) eof() bool    { return p.pos >= len(p.src) }
@@ -56,9 +115,16 @@ func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("content model %q at offset %d: %s", p.src, p.pos, fmt.Sprintf(format, args...))
 }
 
+// skipSpace skips the bytes that are white space when read as
+// Latin-1 runes, as unicode.IsSpace judges them.
 func (p *parser) skipSpace() {
-	for !p.eof() && unicode.IsSpace(rune(p.peek())) {
-		p.advance()
+	for p.pos < len(p.src) {
+		switch c := p.src[p.pos]; {
+		case c == ' ', '\t' <= c && c <= '\r', c == 0x85, c == 0xA0:
+			p.pos++
+		default:
+			return
+		}
 	}
 }
 
@@ -76,23 +142,26 @@ func (p *parser) parseExpr() (*Expr, error) {
 		return first, nil
 	}
 	sep := p.peek()
-	kids := []*Expr{first}
+	base := len(p.kids)
+	p.kids = append(p.kids, first)
 	for !p.eof() && p.peek() == sep {
 		p.advance()
 		next, err := p.parsePostfix()
 		if err != nil {
 			return nil, err
 		}
-		kids = append(kids, next)
+		p.kids = append(p.kids, next)
 		p.skipSpace()
 	}
 	if !p.eof() && (p.peek() == ',' || p.peek() == '|') {
 		return nil, p.errf("mixed ',' and '|' require parentheses")
 	}
+	kids := p.kids[base:]
+	p.kids = p.kids[:base]
 	if sep == ',' {
-		return NewSeq(kids...), nil
+		return join(p, Seq, kids), nil
 	}
-	return NewChoice(kids...), nil
+	return join(p, Choice, kids), nil
 }
 
 // parsePostfix parses an atom followed by any run of *, +, ? postfixes.
@@ -109,13 +178,13 @@ func (p *parser) parsePostfix() (*Expr, error) {
 		switch p.peek() {
 		case '*':
 			p.advance()
-			e = NewStar(e)
+			e = star(p, e)
 		case '+':
 			p.advance()
-			e = Plus(e)
+			e = plus(p, e)
 		case '?':
 			p.advance()
-			e = Opt(e)
+			e = opt(p, e)
 		default:
 			return e, nil
 		}
@@ -145,13 +214,13 @@ func (p *parser) parseAtom() (*Expr, error) {
 	case name == "":
 		return nil, p.errf("expected name, '(' , EMPTY or #PCDATA")
 	case strings.EqualFold(name, "EMPTY"):
-		return Eps(), nil
+		return p.node(Empty, "", nil), nil
 	case name == TextSymbol:
-		return PCData(), nil
+		return p.node(Text, "", nil), nil
 	case name[0] == '#':
 		return nil, p.errf("unknown keyword %q", name)
 	}
-	return Ref(name), nil
+	return p.node(Name, name, nil), nil
 }
 
 // parseName consumes an XML-ish name: letters, digits, and the

@@ -21,7 +21,6 @@ package digest
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/constraint"
 	"repro/internal/dtd"
@@ -58,8 +57,9 @@ const (
 
 // canonicalLines renders the specification as sorted self-describing
 // lines. Each line carries a category prefix so lines from different
-// sections can never collide after sorting. The lines are rendered
-// into one buffer and sliced out of a single string.
+// sections can never collide after sorting. Content models and
+// constraints append their renderings straight into one buffer, and
+// the lines are sliced out of a single string.
 func canonicalLines(d *dtd.DTD, set *constraint.Set) []string {
 	var buf []byte
 	var ends []int
@@ -73,10 +73,10 @@ func canonicalLines(d *dtd.DTD, set *constraint.Set) []string {
 		buf = append(buf, name...)
 		buf = append(buf, ' ')
 		if e.Content != nil {
-			buf = append(buf, e.Content.String()...)
+			buf = e.Content.AppendTo(buf)
 		}
 		line()
-		// Attrs are sorted and de-duplicated by dtd.Define, so one line
+		// Attrs are sorted and de-duplicated by the dtd package, so one line
 		// per attribute is already canonical.
 		for _, a := range e.Attrs {
 			buf = append(buf, "attr "...)
@@ -86,20 +86,13 @@ func canonicalLines(d *dtd.DTD, set *constraint.Set) []string {
 			line()
 		}
 	}
-	// Set.String renders one constraint per line; each goes straight
-	// into buf.
-	for rest := set.String(); rest != ""; {
-		ln := rest
-		if i := strings.IndexByte(rest, '\n'); i >= 0 {
-			ln, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		if ln = strings.TrimSpace(ln); ln != "" {
-			buf = append(buf, "constraint "...)
-			buf = append(buf, ln...)
-			line()
-		}
+	for _, k := range set.Keys {
+		buf = k.AppendTo(append(buf, "constraint "...))
+		line()
+	}
+	for _, c := range set.Incls {
+		buf = c.AppendTo(append(buf, "constraint "...))
+		line()
 	}
 	text := string(buf)
 	lines := make([]string, len(ends))

@@ -162,7 +162,8 @@ func (d *DTD) leastBadRef(e *contentmodel.Expr, least string, found bool) (strin
 // Reachable returns the set of element types reachable from the root
 // through content models (the root included).
 func (d *DTD) Reachable() map[string]bool {
-	r := reacher{d: d, seen: map[string]bool{d.Root: true}}
+	r := reacher{d: d, seen: make(map[string]bool, len(d.Names))}
+	r.seen[d.Root] = true
 	r.from(d.Root)
 	return r.seen
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/contentmodel"
 )
@@ -29,15 +31,27 @@ func Parse(src string) (*DTD, error) {
 
 // ParseWithRoot is Parse with an explicit root element type; an empty
 // root means "first declared element".
+//
+// Each attribute definition of an ATTLIST is read per XML's AttDef
+// rule, as a name, a type and a default, except that the type and the
+// default may be left out. A type is a keyword (CDATA, ID, IDREF,
+// IDREFS, ENTITY, ENTITIES, NMTOKEN, NMTOKENS), an enumeration
+// "(a|b)", or NOTATION and an enumeration; a default is a '#' keyword,
+// a quoted literal, or #FIXED and a quoted literal. Literals may hold
+// spaces and '>'.
 func ParseWithRoot(src, root string) (*DTD, error) {
-	type attlist struct {
-		elem  string
-		attrs []string
-	}
+	n := strings.Count(src, "<!ELEMENT")
+	d := &DTD{Names: make([]string, 0, n), Elements: make(map[string]*Element, n)}
+	// The declarations are cut from one slab; any beyond the count above
+	// are allocated on their own.
+	elems := make([]Element, 0, n)
 	var (
-		order    []string
-		contents = map[string]*contentmodel.Expr{}
-		attrs    = map[string][]string{}
+		// names holds every ATTLIST's attribute names in source order;
+		// elements and pending lists take sub-slices of it.
+		names []string
+		// pending lists ATTLISTs whose element is not declared yet.
+		pending []attlist
+		models  contentmodel.Parser
 	)
 	rest := src
 	for {
@@ -53,16 +67,18 @@ func ParseWithRoot(src, root string) (*DTD, error) {
 			return nil, fmt.Errorf("dtd: unterminated declaration %q", truncate(rest))
 		}
 		decl := rest[2:end]
-		rest = rest[end+1:]
-		fields := strings.Fields(decl)
-		if len(fields) == 0 {
+		kw, kwEnd := keyword(decl)
+		switch kw {
+		case "":
 			return nil, fmt.Errorf("dtd: empty declaration")
-		}
-		switch fields[0] {
 		case "ELEMENT":
+			rest = rest[end+1:]
 			body := strings.TrimSpace(strings.TrimPrefix(decl, "ELEMENT"))
-			sp := strings.IndexAny(body, " \t\r\n(")
-			if sp < 0 {
+			sp := 0
+			for sp < len(body) && body[sp] != ' ' && body[sp] != '\t' && body[sp] != '\r' && body[sp] != '\n' && body[sp] != '(' {
+				sp++
+			}
+			if sp == len(body) {
 				return nil, fmt.Errorf("dtd: malformed <!ELEMENT %s>", body)
 			}
 			name := strings.TrimSpace(body[:sp])
@@ -70,56 +86,275 @@ func ParseWithRoot(src, root string) (*DTD, error) {
 			if name == "" || cm == "" {
 				return nil, fmt.Errorf("dtd: malformed <!ELEMENT %s>", body)
 			}
-			expr, err := contentmodel.Parse(cm)
+			expr, err := models.Parse(cm)
 			if err != nil {
 				return nil, fmt.Errorf("dtd: element %q: %w", name, err)
 			}
-			if _, dup := contents[name]; dup {
+			if _, dup := d.Elements[name]; dup {
 				return nil, fmt.Errorf("dtd: duplicate <!ELEMENT %s>", name)
 			}
-			contents[name] = expr
-			order = append(order, name)
+			var e *Element
+			if len(elems) < cap(elems) {
+				elems = append(elems, Element{Name: name, Content: expr})
+				e = &elems[len(elems)-1]
+			} else {
+				e = &Element{Name: name, Content: expr}
+			}
+			d.Elements[name] = e
+			d.Names = append(d.Names, name)
 		case "ATTLIST":
-			if len(fields) < 2 {
+			from := len(names)
+			sc := attlistScanner{src: rest, pos: 2 + kwEnd}
+			elem, err := sc.scan(&names)
+			if err != nil {
+				return nil, err
+			}
+			if elem == "" {
 				return nil, fmt.Errorf("dtd: malformed <!ATTLIST %s>", decl)
 			}
-			elem := fields[1]
-			// Remaining fields come in (name, type, default) triples;
-			// we record the names and ignore type/default tokens.
-			toks := fields[2:]
-			for i := 0; i < len(toks); {
-				attrs[elem] = append(attrs[elem], toks[i])
-				i++
-				// Skip a type token and a default token when present.
-				for _, expect := range []func(string) bool{isAttrType, isAttrDefault} {
-					if i < len(toks) && expect(toks[i]) {
-						i++
-					}
-				}
+			rest = sc.src[sc.pos:]
+			if len(names) == from {
+				continue
+			}
+			if e := d.Elements[elem]; e != nil {
+				e.addAttrs(names[from:len(names):len(names)])
+			} else {
+				pending = append(pending, attlist{elem: elem, from: from, to: len(names)})
 			}
 		default:
-			return nil, fmt.Errorf("dtd: unsupported declaration <!%s ...>", fields[0])
+			return nil, fmt.Errorf("dtd: unsupported declaration <!%s ...>", kw)
 		}
 	}
-	if len(order) == 0 {
+	if len(d.Names) == 0 {
 		return nil, fmt.Errorf("dtd: no element declarations")
 	}
+	d.Root = root
 	if root == "" {
-		root = order[0]
+		d.Root = d.Names[0]
 	}
-	d := New(root)
-	for _, name := range order {
-		d.Define(name, contents[name], attrs[name]...)
+	for _, a := range pending {
+		e := d.Elements[a.elem]
+		if e == nil {
+			return nil, fmt.Errorf("dtd: <!ATTLIST %s> for undeclared element", a.elem)
+		}
+		e.addAttrs(names[a.from:a.to:a.to])
 	}
-	for elem := range attrs {
-		if _, ok := contents[elem]; !ok {
-			return nil, fmt.Errorf("dtd: <!ATTLIST %s> for undeclared element", elem)
+	for _, e := range d.Elements {
+		if len(e.Attrs) > 1 {
+			sort.Strings(e.Attrs)
+			e.Attrs = dedupSorted(e.Attrs)
 		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// addAttrs adds attribute names to an element being parsed. The first
+// list is taken as is; later lists are appended to a copy.
+func (e *Element) addAttrs(names []string) {
+	if e.Attrs == nil {
+		e.Attrs = names
+		return
+	}
+	e.Attrs = append(e.Attrs, names...)
+}
+
+// attlist is an ATTLIST whose element was not yet declared: its
+// attribute names are names[from:to].
+type attlist struct {
+	elem     string
+	from, to int
+}
+
+// keyword returns the first whitespace-separated word of a declaration
+// and the offset just past it.
+func keyword(decl string) (string, int) {
+	start := 0
+	for start < len(decl) {
+		if c := decl[start]; c < utf8.RuneSelf {
+			if !isASCIISpace(c) {
+				break
+			}
+			start++
+			continue
+		}
+		sp, n := spaceAt(decl, start)
+		if !sp {
+			break
+		}
+		start += n
+	}
+	end := start
+	for end < len(decl) {
+		if c := decl[end]; c < utf8.RuneSelf {
+			if isASCIISpace(c) {
+				break
+			}
+			end++
+			continue
+		}
+		sp, n := spaceAt(decl, end)
+		if sp {
+			break
+		}
+		end += n
+	}
+	return decl[start:end], end
+}
+
+// spaceAt reports whether the rune at s[i] is white space (as
+// unicode.IsSpace, the separator strings.Fields splits on) and its
+// width in bytes.
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return isASCIISpace(c), 1
+	}
+	r, n := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), n
+}
+
+// isASCIISpace is unicode.IsSpace restricted to ASCII.
+func isASCIISpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+
+// attlistScanner reads one ATTLIST declaration, from pos just past the
+// ATTLIST keyword of the declaration that starts src through its
+// closing '>'.
+type attlistScanner struct {
+	src string
+	pos int
+}
+
+// scan reads the element name and appends each defined attribute's name
+// to names. It returns "" as the element name when the declaration
+// names no element, and leaves pos just past the closing '>'.
+func (sc *attlistScanner) scan(names *[]string) (elem string, err error) {
+	sc.skipSpace()
+	if elem = sc.word(); elem == "" {
+		return "", nil
+	}
+	for {
+		sc.skipSpace()
+		if sc.pos >= len(sc.src) {
+			return "", sc.unterminated()
+		}
+		if sc.src[sc.pos] == '>' {
+			sc.pos++
+			return elem, nil
+		}
+		*names = append(*names, sc.word())
+		sc.skipSpace()
+		if sc.peek() == '(' {
+			err = sc.enumeration(elem)
+		} else if typ := sc.peekWord(); isAttrType(typ) {
+			sc.pos += len(typ)
+			if typ == "NOTATION" {
+				sc.skipSpace()
+				err = sc.enumeration(elem)
+			}
+		}
+		if err != nil {
+			return "", err
+		}
+		sc.skipSpace()
+		switch sc.peek() {
+		case '#':
+			if sc.word() == "#FIXED" {
+				sc.skipSpace()
+				err = sc.literal()
+			}
+		case '"', '\'':
+			err = sc.literal()
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+}
+
+// peek returns the next byte, or 0 at the end of the source.
+func (sc *attlistScanner) peek() byte {
+	if sc.pos < len(sc.src) {
+		return sc.src[sc.pos]
+	}
+	return 0
+}
+
+func (sc *attlistScanner) skipSpace() {
+	for sc.pos < len(sc.src) {
+		if c := sc.src[sc.pos]; c < utf8.RuneSelf {
+			if !isASCIISpace(c) {
+				return
+			}
+			sc.pos++
+			continue
+		}
+		sp, n := spaceAt(sc.src, sc.pos)
+		if !sp {
+			return
+		}
+		sc.pos += n
+	}
+}
+
+// peekWord returns the run of bytes up to the next space or '>'.
+func (sc *attlistScanner) peekWord() string {
+	end := sc.pos
+	for end < len(sc.src) && sc.src[end] != '>' {
+		if c := sc.src[end]; c < utf8.RuneSelf {
+			if isASCIISpace(c) {
+				break
+			}
+			end++
+			continue
+		}
+		sp, n := spaceAt(sc.src, end)
+		if sp {
+			break
+		}
+		end += n
+	}
+	return sc.src[sc.pos:end]
+}
+
+// word consumes and returns peekWord.
+func (sc *attlistScanner) word() string {
+	w := sc.peekWord()
+	sc.pos += len(w)
+	return w
+}
+
+// enumeration consumes a parenthesized "(a|b|...)" list, if one starts
+// here; its names cannot hold '>'.
+func (sc *attlistScanner) enumeration(elem string) error {
+	if sc.peek() != '(' {
+		return nil
+	}
+	n := strings.IndexAny(sc.src[sc.pos:], ")>")
+	if n < 0 || sc.src[sc.pos+n] == '>' {
+		return fmt.Errorf("dtd: <!ATTLIST %s>: unterminated enumeration %q", elem, truncate(sc.src[sc.pos:]))
+	}
+	sc.pos += n + 1
+	return nil
+}
+
+// literal consumes a quoted literal, if one starts here.
+func (sc *attlistScanner) literal() error {
+	q := sc.peek()
+	if q != '"' && q != '\'' {
+		return nil
+	}
+	n := strings.IndexByte(sc.src[sc.pos+1:], q)
+	if n < 0 {
+		return sc.unterminated()
+	}
+	sc.pos += n + 2
+	return nil
+}
+
+func (sc *attlistScanner) unterminated() error {
+	return fmt.Errorf("dtd: unterminated declaration %q", truncate(sc.src))
 }
 
 // MustParse is Parse for known-good literals; it panics on error.
@@ -133,19 +368,19 @@ func MustParse(src string) *DTD {
 
 func isAttrType(tok string) bool {
 	switch tok {
-	case "CDATA", "ID", "IDREF", "IDREFS", "NMTOKEN", "NMTOKENS", "ENTITY", "ENTITIES":
+	case "CDATA", "ID", "IDREF", "IDREFS", "NMTOKEN", "NMTOKENS", "ENTITY", "ENTITIES", "NOTATION":
 		return true
 	}
 	return false
 }
 
-func isAttrDefault(tok string) bool {
-	return strings.HasPrefix(tok, "#") || strings.HasPrefix(tok, "\"") || strings.HasPrefix(tok, "'")
-}
-
 func skipXMLSpaceAndComments(s string) string {
 	for {
-		s = strings.TrimLeft(s, " \t\r\n")
+		i := 0
+		for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r' || s[i] == '\n') {
+			i++
+		}
+		s = s[i:]
 		if strings.HasPrefix(s, "<!--") {
 			end := strings.Index(s, "-->")
 			if end < 0 {

@@ -293,3 +293,31 @@ func refSeq(names []string) *contentmodel.Expr {
 
 // defaultILP returns the solver options the reference PDE solver uses.
 func defaultILP() ilp.Options { return ilp.Options{} }
+
+// Samples returns small instances of every family above, the random
+// ones drawn from rng: a corpus of specifications of every shape the
+// paper's reductions produce.
+func Samples(rng *rand.Rand) []Instance {
+	out := []Instance{
+		Fig3MultiMulti("sat"), Fig3MultiMulti("unsat"),
+		Fig4Diophantine("linear-sat"), Fig4Diophantine("linear-unsat"), Fig4Diophantine("quadratic"),
+	}
+	for n := 2; n <= 6; n++ {
+		out = append(out, Fig3Unary(rng, n), Thm35SubsetSum(rng, n, 512))
+		if in, ok := Fig3PDE(rng, n); ok {
+			out = append(out, in)
+		}
+	}
+	for m := 1; m <= 3; m++ {
+		out = append(out, Fig3Regular(rng, m), Fig4DLocal(rng, m))
+	}
+	for _, sat := range []bool{true, false} {
+		for levels := 1; levels <= 12; levels++ {
+			out = append(out, Fig4Hierarchical(levels, sat))
+		}
+		for _, width := range []int{2, 8, 32} {
+			out = append(out, Thm35Tractable(width, sat))
+		}
+	}
+	return out
+}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates the AST node variants of a path expression.
@@ -54,55 +55,66 @@ func Symbol(name string) *Expr { return &Expr{Kind: Sym, Name: name} }
 func Wildcard() *Expr { return &Expr{Kind: Wild} }
 
 // Concat returns the concatenation of the operands, flattening nested
-// concatenations and dropping ε.
-func Concat(xs ...*Expr) *Expr {
-	var kids []*Expr
+// concatenations and dropping ε. It does not retain xs.
+func Concat(xs ...*Expr) *Expr { return join(nil, Cat, xs) }
+
+// Union returns the union of the operands, flattening nested unions.
+// It does not retain xs.
+func Union(xs ...*Expr) *Expr { return join(nil, Alt, xs) }
+
+// join is Concat (kind Cat) and Union (kind Alt). It takes the node and
+// its operand list from p's slabs, or allocates them when p is nil.
+func join(p *rparser, kind Kind, xs []*Expr) *Expr {
+	// ε is the unit of concatenation.
+	skip := func(x *Expr) bool { return kind == Cat && x.Kind == Eps }
+	n := 0
 	for _, x := range xs {
-		switch x.Kind {
-		case Eps:
-		case Cat:
+		switch {
+		case skip(x):
+		case x.Kind == kind:
+			n += len(x.Kids)
+		default:
+			n++
+		}
+	}
+	if n <= 1 {
+		for _, x := range xs {
+			switch {
+			case skip(x):
+			case x.Kind == kind && len(x.Kids) == 1:
+				return x.Kids[0]
+			case x.Kind != kind:
+				return x
+			}
+		}
+		return p.node(Eps, "", nil)
+	}
+	kids := p.list(n)
+	for _, x := range xs {
+		switch {
+		case skip(x):
+		case x.Kind == kind:
 			kids = append(kids, x.Kids...)
 		default:
 			kids = append(kids, x)
 		}
 	}
-	switch len(kids) {
-	case 0:
-		return Epsilon()
-	case 1:
-		return kids[0]
-	}
-	return &Expr{Kind: Cat, Kids: kids}
-}
-
-// Union returns the union of the operands, flattening nested unions.
-func Union(xs ...*Expr) *Expr {
-	var kids []*Expr
-	for _, x := range xs {
-		if x.Kind == Alt {
-			kids = append(kids, x.Kids...)
-		} else {
-			kids = append(kids, x)
-		}
-	}
-	switch len(kids) {
-	case 0:
-		return Epsilon()
-	case 1:
-		return kids[0]
-	}
-	return &Expr{Kind: Alt, Kids: kids}
+	return p.node(kind, "", kids)
 }
 
 // Closure returns the Kleene closure of x.
-func Closure(x *Expr) *Expr {
+func Closure(x *Expr) *Expr { return closure(nil, x) }
+
+// closure is Closure, taking its node and operand list from p's slabs,
+// or allocating them when p is nil.
+func closure(p *rparser, x *Expr) *Expr {
 	switch x.Kind {
 	case Eps:
-		return Epsilon()
+		return p.node(Eps, "", nil)
 	case Star:
 		return x
 	}
-	return &Expr{Kind: Star, Kids: []*Expr{x}}
+	return p.node(Star, "", append(p.list(1), x))
 }
 
 // AnyPath returns "_*", the match-anything path used pervasively in
@@ -155,57 +167,61 @@ func (e *Expr) Size() int {
 // String renders the expression in the paper's syntax with '.' for
 // concatenation, '∪' for union and postfix '*'.
 func (e *Expr) String() string {
-	var b strings.Builder
-	e.render(&b, 0)
-	return b.String()
+	var buf [64]byte
+	return string(e.AppendTo(buf[:0]))
 }
 
+// AppendTo appends the String rendering of e to b and returns the
+// extended buffer.
+func (e *Expr) AppendTo(b []byte) []byte { return e.appendTo(b, 0) }
+
 // precedence: 0 union, 1 concat, 2 atom/star.
-func (e *Expr) render(b *strings.Builder, prec int) {
+func (e *Expr) appendTo(b []byte, prec int) []byte {
 	switch e.Kind {
 	case Eps:
-		b.WriteString("ε")
+		b = append(b, "ε"...)
 	case Sym:
-		b.WriteString(e.Name)
+		b = append(b, e.Name...)
 	case Wild:
-		b.WriteString("_")
+		b = append(b, "_"...)
 	case Cat:
 		if prec > 1 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteByte('.')
+				b = append(b, '.')
 			}
-			k.render(b, 2)
+			b = k.appendTo(b, 2)
 		}
 		if prec > 1 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	case Alt:
 		if prec > 0 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteString(" ∪ ")
+				b = append(b, " ∪ "...)
 			}
-			k.render(b, 1)
+			b = k.appendTo(b, 1)
 		}
 		if prec > 0 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	case Star:
 		switch e.Kids[0].Kind {
 		case Eps, Sym, Wild:
-			e.Kids[0].render(b, 2)
+			b = e.Kids[0].appendTo(b, 2)
 		default:
-			b.WriteByte('(')
-			e.Kids[0].render(b, 0)
-			b.WriteByte(')')
+			b = append(b, '(')
+			b = e.Kids[0].appendTo(b, 0)
+			b = append(b, ')')
 		}
-		b.WriteByte('*')
+		b = append(b, '*')
 	}
+	return b
 }
 
 // Equal reports structural equality.
@@ -228,8 +244,12 @@ func (e *Expr) Equal(o *Expr) bool {
 // denote union; 'ε' denotes the empty path; '_' the wildcard.
 //
 //	r._*.(student ∪ prof).record
+//
+// The parser indexes the source's bytes, so element type names are
+// slices of src. Error offsets count runes, not bytes.
 func Parse(src string) (*Expr, error) {
-	p := &rparser{src: []rune(src)}
+	p := &rparser{src: src}
+	p.kids = p.kidsBuf[:0]
 	p.skipSpace()
 	e, err := p.parseAlt()
 	if err != nil {
@@ -251,15 +271,86 @@ func MustParse(src string) *Expr {
 	return e
 }
 
+// The multi-byte operators of the syntax.
+const (
+	unionOp   = "∪"
+	epsilonOp = "ε"
+)
+
+// rparser is a recursive-descent parser over the source bytes. pos is
+// a byte offset that only ever stops on a rune boundary: everything it
+// consumes is ASCII or one of the two multi-byte operators.
 type rparser struct {
-	src []rune
+	src string
 	pos int
+	// kids is the operand stack that parseAlt and parseCat share; each
+	// level pushes its operands above the enclosing level's and pops
+	// them once join has copied them out.
+	kids    []*Expr
+	kidsBuf [8]*Expr
+	// nodes and lists are the slabs the expression's nodes and operand
+	// lists are cut from.
+	nodes []Expr
+	lists []*Expr
+}
+
+// slabSize is the length of a fresh slab. An expression has one name
+// more than it has operators ('.', '|', '∪', '*', '('), and at most one
+// operator node per operator, so a slab of operators plus two nodes or
+// operands usually holds the whole expression; if not, the next slab
+// covers the rest at one per two bytes, plus two.
+func (p *rparser) slabSize() int {
+	if p.nodes != nil || p.lists != nil {
+		return (len(p.src)-p.pos)/2 + 2
+	}
+	ops := 0
+	for i := p.pos; i < len(p.src); i++ {
+		switch p.src[i] {
+		case '.', '|', '*', '(', unionOp[0]:
+			ops++
+		}
+	}
+	return ops + 2
+}
+
+// node returns a new expression node, cut from the slab (a nil p
+// allocates it on its own).
+func (p *rparser) node(kind Kind, name string, kids []*Expr) *Expr {
+	if p == nil {
+		return &Expr{Kind: kind, Name: name, Kids: kids}
+	}
+	if len(p.nodes) == cap(p.nodes) {
+		p.nodes = make([]Expr, 0, p.slabSize())
+	}
+	p.nodes = append(p.nodes, Expr{Kind: kind, Name: name, Kids: kids})
+	return &p.nodes[len(p.nodes)-1]
+}
+
+// list returns an empty operand list with room for exactly n operands,
+// cut from the slab (a nil p allocates it on its own).
+func (p *rparser) list(n int) []*Expr {
+	if p == nil {
+		return make([]*Expr, 0, n)
+	}
+	if cap(p.lists)-len(p.lists) < n {
+		p.lists = make([]*Expr, 0, max(n, p.slabSize()))
+	}
+	at := len(p.lists)
+	p.lists = p.lists[:at+n]
+	return p.lists[at : at : at+n]
 }
 
 func (p *rparser) eof() bool  { return p.pos >= len(p.src) }
-func (p *rparser) peek() rune { return p.src[p.pos] }
+func (p *rparser) peek() byte { return p.src[p.pos] }
+
+// at reports whether the unconsumed input starts with op.
+func (p *rparser) at(op string) bool { return strings.HasPrefix(p.src[p.pos:], op) }
+
+// errf reports an error at the current position, counted in runes and
+// quoting the source with invalid UTF-8 shown as U+FFFD.
 func (p *rparser) errf(format string, args ...any) error {
-	return fmt.Errorf("path expression %q at offset %d: %s", string(p.src), p.pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("path expression %q at offset %d: %s",
+		string([]rune(p.src)), utf8.RuneCountInString(p.src[:p.pos]), fmt.Sprintf(format, args...))
 }
 
 func (p *rparser) skipSpace() {
@@ -273,20 +364,29 @@ func (p *rparser) parseAlt() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	kids := []*Expr{first}
+	base := len(p.kids)
+	p.kids = append(p.kids, first)
 	for {
 		p.skipSpace()
-		if p.eof() || (p.peek() != '∪' && p.peek() != '|') {
+		if p.eof() {
 			break
 		}
-		p.pos++
+		if p.peek() == '|' {
+			p.pos++
+		} else if p.at(unionOp) {
+			p.pos += len(unionOp)
+		} else {
+			break
+		}
 		next, err := p.parseCat()
 		if err != nil {
 			return nil, err
 		}
-		kids = append(kids, next)
+		p.kids = append(p.kids, next)
 	}
-	return Union(kids...), nil
+	e := join(p, Alt, p.kids[base:])
+	p.kids = p.kids[:base]
+	return e, nil
 }
 
 func (p *rparser) parseCat() (*Expr, error) {
@@ -294,7 +394,8 @@ func (p *rparser) parseCat() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	kids := []*Expr{first}
+	base := len(p.kids)
+	p.kids = append(p.kids, first)
 	for {
 		p.skipSpace()
 		if p.eof() || p.peek() != '.' {
@@ -305,9 +406,11 @@ func (p *rparser) parseCat() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		kids = append(kids, next)
+		p.kids = append(p.kids, next)
 	}
-	return Concat(kids...), nil
+	e := join(p, Cat, p.kids[base:])
+	p.kids = p.kids[:base]
+	return e, nil
 }
 
 func (p *rparser) parsePostfix() (*Expr, error) {
@@ -319,7 +422,7 @@ func (p *rparser) parsePostfix() (*Expr, error) {
 		p.skipSpace()
 		if !p.eof() && p.peek() == '*' {
 			p.pos++
-			e = Closure(e)
+			e = closure(p, e)
 			continue
 		}
 		return e, nil
@@ -331,8 +434,7 @@ func (p *rparser) parseAtom() (*Expr, error) {
 	if p.eof() {
 		return nil, p.errf("expected path atom")
 	}
-	switch p.peek() {
-	case '(':
+	if p.peek() == '(' {
 		p.pos++
 		e, err := p.parseAlt()
 		if err != nil {
@@ -344,12 +446,13 @@ func (p *rparser) parseAtom() (*Expr, error) {
 		}
 		p.pos++
 		return e, nil
-	case 'ε':
-		p.pos++
-		return Epsilon(), nil
+	}
+	if p.at(epsilonOp) {
+		p.pos += len(epsilonOp)
+		return p.node(Eps, "", nil), nil
 	}
 	start := p.pos
-	for !p.eof() && isNameRune(p.peek()) {
+	for !p.eof() && isNameByte(p.peek()) {
 		p.pos++
 	}
 	if p.pos == start {
@@ -357,14 +460,16 @@ func (p *rparser) parseAtom() (*Expr, error) {
 	}
 	// A solitary '_' is the wildcard; '_' inside a longer token is an
 	// ordinary name character (as in author_info from Figure 2).
-	name := string(p.src[start:p.pos])
+	name := p.src[start:p.pos]
 	if name == "_" {
-		return Wildcard(), nil
+		return p.node(Wild, "", nil), nil
 	}
-	return Symbol(name), nil
+	return p.node(Sym, name, nil), nil
 }
 
-func isNameRune(c rune) bool {
+// isNameByte reports whether c may occur in an element type name.
+// Names are ASCII, so a byte of a multi-byte rune never qualifies.
+func isNameByte(c byte) bool {
 	switch {
 	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
 		return true

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 
 	xmlspec "repro"
@@ -70,25 +71,23 @@ func (k cacheKey) fingerprint() uint64 {
 }
 
 // cacheEntry is one stored verdict: the response fields of the check
-// that produced it, with the certificate as compact JSON. Entries are
-// immutable once inserted, so a reader may use one after releasing the
-// cache lock.
+// that produced it, with the certificate as the compact JSON its
+// response carried. Entries are immutable once inserted, so a reader
+// may use one after releasing the cache lock, and a response may
+// carry its cert bytes as they are.
 type cacheEntry struct {
 	key                               cacheKey
 	verdict                           xmlspec.Verdict
 	class, method, witness, diagnosis string
 	stats                             xmlspec.Stats
-	cert                              []byte
+	cert                              json.RawMessage
 	size                              int
 }
 
-// newCacheEntry stores res compactly. The per-run cost rows are
-// dropped: they describe a solve, not the verdict.
-func newCacheEntry(key cacheKey, res xmlspec.Result) (*cacheEntry, error) {
-	cert, err := json.Marshal(res.Certificate)
-	if err != nil {
-		return nil, err
-	}
+// newCacheEntry stores res with its certificate as the compact JSON
+// the response carries. The per-run cost rows are dropped: they
+// describe a solve, not the verdict.
+func newCacheEntry(key cacheKey, res xmlspec.Result, cert json.RawMessage) *cacheEntry {
 	e := &cacheEntry{
 		key: key, verdict: res.Verdict,
 		class: res.Class, method: res.Method, witness: res.Witness, diagnosis: res.Diagnosis,
@@ -96,21 +95,17 @@ func newCacheEntry(key cacheKey, res xmlspec.Result) (*cacheEntry, error) {
 	}
 	e.size = entryOverhead + len(key.digest) + len(e.class) + len(e.method) +
 		len(e.witness) + len(e.diagnosis) + len(cert)
-	return e, nil
+	return e
 }
 
-// result rebuilds the check result a hit answers with, around a freshly
-// decoded certificate.
-func (e *cacheEntry) result() (xmlspec.Result, error) {
-	var cert certificate.Certificate
-	if err := json.Unmarshal(e.cert, &cert); err != nil {
-		return xmlspec.Result{}, err
-	}
+// result rebuilds the check result a hit answers with, around the
+// certificate decoded from the entry's bytes.
+func (e *cacheEntry) result(cert *certificate.Certificate) xmlspec.Result {
 	return xmlspec.Result{
 		Verdict: e.verdict, Class: e.class, Method: e.method,
 		Witness: e.witness, Diagnosis: e.diagnosis,
-		Certificate: &cert, Stats: e.stats,
-	}, nil
+		Certificate: cert, Stats: e.stats,
+	}
 }
 
 // verdictCache is the /check verdict cache: an LRU of entries under a
@@ -242,12 +237,15 @@ func (f *fingerprintSet) add(fp uint64) {
 
 // decide answers a /check: from the verdict cache when a stored
 // certificate re-verifies against this request's spec, otherwise by a
-// full check whose definitive verdict is offered to the cache.
-func (s *Server) decide(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (xmlspec.Result, error) {
+// full check whose definitive verdict is offered to the cache. It
+// returns the certificate as the compact JSON the response carries: a
+// hit's stored bytes, or a miss's certificate marshaled once and shared
+// with the entry it may become.
+func (s *Server) decide(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (xmlspec.Result, json.RawMessage, error) {
 	// Attribution rows describe one solve, and a check without a
 	// certificate would leave a hit nothing to verify.
 	if rq.req.Options.Attribution || rq.req.Options.SkipCertificate {
-		return spec.CheckContext(ctx, opts)
+		return checkAndMarshal(ctx, spec, opts)
 	}
 	key := cacheKey{
 		digest:          rq.SpecDigest,
@@ -257,32 +255,48 @@ func (s *Server) decide(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.O
 		minimizeWitness: opts.MinimizeWitness,
 		skipLint:        opts.SkipLint,
 	}
-	if res, ok := s.cached(spec, key, rq); ok {
-		return res, nil
+	if res, cert, ok := s.cached(spec, key, rq); ok {
+		return res, cert, nil
 	}
 	rq.rec.Add(cacheMisses, 1)
-	res, err := spec.CheckContext(ctx, opts)
-	if err == nil && res.Certificate != nil && s.cache.sighted(key.fingerprint()) {
-		s.store(key, res, rq)
+	res, cert, err := checkAndMarshal(ctx, spec, opts)
+	if err == nil && cert != nil && s.cache.sighted(key.fingerprint()) {
+		s.store(newCacheEntry(key, res, cert), rq)
 	}
-	return res, err
+	return res, cert, err
 }
 
-// cached looks key up under a server.cache span. A hit decodes a fresh
-// certificate and re-proves it against spec under a verify child span;
-// one that fails verification is counted, evicted, and reported as a
-// miss so the caller re-decides.
-func (s *Server) cached(spec *xmlspec.Spec, key cacheKey, rq *request) (xmlspec.Result, bool) {
+// checkAndMarshal decides spec in full and marshals its certificate,
+// if it has one, as compact JSON.
+func checkAndMarshal(ctx context.Context, spec *xmlspec.Spec, opts *xmlspec.Options) (xmlspec.Result, json.RawMessage, error) {
+	res, err := spec.CheckContext(ctx, opts)
+	if err != nil || res.Certificate == nil {
+		return res, nil, err
+	}
+	cert, err := json.Marshal(res.Certificate)
+	if err != nil {
+		return res, nil, fmt.Errorf("encoding response: %w", err)
+	}
+	return res, cert, nil
+}
+
+// cached looks key up under a server.cache span. A hit decodes the
+// entry's certificate bytes and re-proves the decoded certificate
+// against spec under a verify child span, then answers with those same
+// bytes; one that fails verification is counted, evicted, and reported
+// as a miss so the caller re-decides.
+func (s *Server) cached(spec *xmlspec.Spec, key cacheKey, rq *request) (xmlspec.Result, json.RawMessage, bool) {
 	sp := rq.rec.Start("server.cache")
 	defer sp.End()
 	e := s.cache.get(key)
 	if e == nil {
-		return xmlspec.Result{}, false
+		return xmlspec.Result{}, nil, false
 	}
 	vsp := rq.rec.Start("verify")
-	res, err := e.result()
+	cert := new(certificate.Certificate)
+	err := json.Unmarshal(e.cert, cert)
 	if err == nil {
-		err = spec.VerifyCertificate(res.Certificate)
+		err = spec.VerifyCertificate(cert)
 	}
 	vsp.End()
 	if err != nil {
@@ -290,19 +304,14 @@ func (s *Server) cached(spec *xmlspec.Spec, key cacheKey, rq *request) (xmlspec.
 		s.cache.remove(e)
 		s.log.Warn("cached certificate failed verification; re-deciding",
 			"request_id", rq.RequestID, "trace_id", rq.TraceID, "spec_digest", rq.SpecDigest, "err", err)
-		return xmlspec.Result{}, false
+		return xmlspec.Result{}, nil, false
 	}
 	rq.rec.Add(cacheHits, 1)
-	return res, true
+	return e.result(cert), e.cert, true
 }
 
-// store puts a decided result into the cache under key.
-func (s *Server) store(key cacheKey, res xmlspec.Result, rq *request) {
-	e, err := newCacheEntry(key, res)
-	if err != nil {
-		s.log.Error("verdict cache entry", "request_id", rq.RequestID, "err", err)
-		return
-	}
+// store puts a decided result's entry into the cache.
+func (s *Server) store(e *cacheEntry, rq *request) {
 	evicted, stored := s.cache.insert(e)
 	if stored {
 		rq.rec.Add(cacheAdmits, 1)

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -189,6 +191,52 @@ func TestCacheThirdCheckIsHit(t *testing.T) {
 				t.Errorf("hit scope costs %v, phase summary %+v; want none", hit.ScopeCosts, hit.PhaseSummary)
 			}
 		})
+	}
+}
+
+// perRequest matches the response fields that differ between two
+// answers to the same request.
+var perRequest = regexp.MustCompile(`"(request_id|trace_id)":"[^"]*"|"elapsed_us":[0-9]+`)
+
+// TestCacheHitBodyIsMissBody requires a verified hit to carry the
+// entry's stored certificate bytes and to answer, byte for byte, what
+// the miss that stored its verdict answered, apart from the request and
+// trace IDs and the elapsed time, for every testdata specification with
+// and without the lint prepass.
+func TestCacheHitBodyIsMissBody(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile("../../testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, spec := range [][2]string{
+		{"library.dtd", "library.keys"},
+		{"school.dtd", "school.keys"},
+		{"school.dtd", "school-extended.keys"},
+		{"geography.dtd", "geography.keys"},
+	} {
+		for _, skipLint := range []bool{false, true} {
+			req := CheckRequest{DTD: read(spec[0]), Constraints: read(spec[1]), Options: CheckOptions{SkipLint: skipLint}}
+			s := NewServer(Config{Logger: quietLogger()})
+			h := s.Handler()
+			var bodies [3][]byte
+			for i := range bodies {
+				code, out := serveSpec(t, h, "/check", req)
+				if code != http.StatusOK {
+					t.Fatalf("%s skip_lint=%v check %d: status %d: %s", spec[1], skipLint, i+1, code, out)
+				}
+				bodies[i] = perRequest.ReplaceAll(out, nil)
+			}
+			wantCache(t, h, map[string]float64{"misses": 2, "hits": 1})
+			if cert := onlyEntry(t, s.cache).cert; !bytes.Contains(bodies[2], append([]byte(`"certificate":`), cert...)) {
+				t.Errorf("%s skip_lint=%v: hit body does not carry the stored certificate bytes %s", spec[1], skipLint, cert)
+			}
+			if !bytes.Equal(bodies[0], bodies[2]) {
+				t.Errorf("%s skip_lint=%v: hit body differs from the miss body:\nmiss: %s\nhit:  %s", spec[1], skipLint, bodies[0], bodies[2])
+			}
+		}
 	}
 }
 

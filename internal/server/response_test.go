@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	xmlspec "repro"
+	"repro/internal/experiments"
 	"repro/internal/telemetry"
 )
 
@@ -143,12 +145,61 @@ func TestRequestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestRequestBodyDecodedLikeUnmarshal pins what the streaming decode of
+// a spec route's body keeps from decoding a fully read body: a body
+// over the limit is a 413 whatever it holds, and anything but white
+// space after the JSON value is a 400 parse error, as json.Unmarshal
+// rejects it.
+func TestRequestBodyDecodedLikeUnmarshal(t *testing.T) {
+	spec, err := json.Marshal(CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 4096
+	h := NewServer(Config{Logger: quietLogger(), MaxRequestBytes: limit}).Handler()
+	over := func(prefix string) []byte {
+		return append([]byte(prefix), bytes.Repeat([]byte("x"), limit+1-len(prefix))...)
+	}
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		status int
+		msg    string
+	}{
+		{"valid then newline", append(append([]byte(nil), spec...), '\n'), http.StatusOK, ""},
+		{"over limit, garbage", over(""), http.StatusRequestEntityTooLarge, "exceeds"},
+		{"over limit, valid then garbage", over(string(spec)), http.StatusRequestEntityTooLarge, "exceeds"},
+		{"trailing value", append(append([]byte(nil), spec...), spec...), http.StatusBadRequest, "after top-level value"},
+		{"trailing garbage", append(append([]byte(nil), spec...), " x"...), http.StatusBadRequest, "invalid character 'x' after top-level value"},
+		{"empty", nil, http.StatusBadRequest, "unexpected end of JSON input"},
+		{"truncated", spec[:len(spec)/2], http.StatusBadRequest, "unexpected end of JSON input"},
+		{"not an object", []byte(`[1]`), http.StatusBadRequest, "decoding request"},
+	} {
+		for _, path := range []string{"/check", "/explain"} {
+			if want := json.Unmarshal(tc.body, new(CheckRequest)); tc.status != http.StatusRequestEntityTooLarge && (want == nil) != (tc.status == http.StatusOK) {
+				t.Fatalf("%s: json.Unmarshal error %v disagrees with want status %d", tc.name, want, tc.status)
+			}
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(tc.body)))
+			if rr.Code != tc.status {
+				t.Fatalf("%s %s: status %d, want %d: %s", path, tc.name, rr.Code, tc.status, rr.Body)
+			}
+			if tc.status == http.StatusOK {
+				continue
+			}
+			if er := decodeError(t, rr.Body.Bytes()); er.Kind != "parse" || !strings.Contains(er.Error, tc.msg) {
+				t.Errorf("%s %s: error %+v, want kind parse containing %q", path, tc.name, er, tc.msg)
+			}
+		}
+	}
+}
+
 // maxServeCheckAllocs pins the allocations of one /check miss of the
 // library spec through the full handler — middleware, decode, parse,
 // decision, witness, certificate, every sink, and the response write —
 // with a quiet logger. `make gates` runs it without the race detector,
 // whose instrumentation shifts the count.
-const maxServeCheckAllocs = 331
+const maxServeCheckAllocs = 297
 
 func TestServeCheckAllocs(t *testing.T) {
 	if raceEnabled {
@@ -187,6 +238,74 @@ func TestServeCheckAllocs(t *testing.T) {
 	t.Logf("library /check miss through Handler: %.0f allocs", n)
 	if n > maxServeCheckAllocs {
 		t.Errorf("library /check miss allocates %.0f times, want ≤ %d", n, maxServeCheckAllocs)
+	}
+}
+
+// hitSpec is the spec of the verified-hit pins: a Figure 3 unary
+// instance with n=6, one family of the replayed hard-instance workload.
+func hitSpec(t testing.TB) []byte {
+	in := experiments.Fig3Unary(rand.New(rand.NewSource(7)), 6)
+	body, err := json.Marshal(CheckRequest{DTD: in.D.String(), Constraints: in.Set.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// warmHit serves body until the verdict cache holds its verdict and
+// answers it with a verified hit, and returns the func that serves one
+// more request of it.
+func warmHit(t testing.TB, h http.Handler, body []byte) func() {
+	serve := func() {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/check", bytes.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+	}
+	// Two misses admit the verdict; the rest warm the registry's series
+	// and the audit log's hot-digest table.
+	for i := 0; i < 100; i++ {
+		serve()
+	}
+	return serve
+}
+
+// maxServeCheckHitAllocs pins the allocations of one verified /check
+// hit through the full handler: middleware, body decode, parse, digest,
+// the certificate decoded from the entry's bytes and re-proved, every
+// sink, and the write of the stored bytes. Decoding the body from the
+// limited reader, the slab-allocating parsers and serving the stored
+// bytes took it from 2753.
+const maxServeCheckHitAllocs = 295
+
+func TestServeCheckHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	h := NewServer(Config{Logger: quietLogger()}).Handler()
+	serve := warmHit(t, h, hitSpec(t))
+	const runs = 100
+	n := testing.AllocsPerRun(runs, serve)
+	// AllocsPerRun serves once more to warm up.
+	if m := cacheMetrics(t, h); m["misses"] != 2 || m["hits"] != 100-2+runs+1 || m["verify_failures"] != 0 {
+		t.Fatalf("cache %v: want two misses, then verified hits only", m)
+	}
+	t.Logf("fig3 unary n=6 /check verified hit through Handler: %.0f allocs", n)
+	if n > maxServeCheckHitAllocs {
+		t.Errorf("verified /check hit allocates %.0f times, want ≤ %d", n, maxServeCheckHitAllocs)
+	}
+}
+
+// BenchmarkServeCheckHit serves one verified /check hit of a Figure 3
+// unary n=6 spec through the full handler.
+func BenchmarkServeCheckHit(b *testing.B) {
+	h := NewServer(Config{Logger: quietLogger()}).Handler()
+	serve := warmHit(b, h, hitSpec(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }
 

@@ -32,19 +32,29 @@
 // /check answers repeated specs from a verdict cache. It is keyed by
 // the spec digest and the decision options (max solver nodes, max
 // value, skip/minimize witness, and skip lint). A hit decodes the
-// stored certificate and re-proves it with VerifyCertificate against
-// the request's own parsed spec, under a server.cache span with a
-// verify child; the digest is a 64-bit hash and could collide, so a
-// certificate that fails is counted, evicted, and the spec decided in
-// full. A verdict is admitted only when its key's fingerprint is
-// already in a bounded recently-seen set, and entries are evicted
+// certificate from the entry's stored bytes and re-proves the decoded
+// certificate with VerifyCertificate against the request's own parsed
+// spec, under a server.cache span with a verify child; the digest is a
+// 64-bit hash and could collide, so a certificate that fails is
+// counted, evicted, and the spec decided in full. A hit that verifies
+// serves the stored bytes as they are, so the certificate a client
+// receives is byte for byte the one that was verified, and the hit's
+// body equals its miss's apart from the request and trace IDs and the
+// elapsed time. A verdict is admitted only when its key's fingerprint
+// is already in a bounded recently-seen set, and entries are evicted
 // least recently used first under a fixed byte budget, so traffic that
 // never repeats a spec never fills the cache. Entries hold the
-// certificate as compact JSON, never the live certificate or the cost
-// rows. Requests asking for attribution or skipping the certificate,
-// and /explain, never read or write it; Unknown and aborted results
-// are never stored. A hit returns the stored Stats of the solve that
-// produced it, and its audit event carries no scope costs.
+// certificate as the compact JSON its miss marshaled once for its own
+// response, never the live certificate or the cost rows. Requests
+// asking for attribution or skipping the certificate, and /explain,
+// never read or write it; Unknown and aborted results are never
+// stored. A hit returns the stored Stats of the solve that produced
+// it, and its audit event carries no scope costs.
+//
+// Spec-route bodies are decoded as a stream from the size-limited
+// body reader, with no copy of the whole body first; a body over
+// MaxRequestBytes is still a 413 whatever it holds, and bytes other
+// than white space after the JSON value still fail the decode.
 //
 // Every request also runs under W3C trace context: the middleware
 // parses an inbound traceparent header (or starts a fresh trace),
@@ -326,14 +336,17 @@ type CheckResponse struct {
 	// SpecDigest is the canonical digest of the checked specification
 	// (internal/digest) — the key joining this response to audit
 	// events, traces, certificates, and the status page.
-	SpecDigest  string                   `json:"spec_digest"`
-	Verdict     string                   `json:"verdict"`
-	Class       string                   `json:"class,omitempty"`
-	Method      string                   `json:"method,omitempty"`
-	Witness     string                   `json:"witness,omitempty"`
-	Diagnosis   string                   `json:"diagnosis,omitempty"`
-	Certificate *certificate.Certificate `json:"certificate,omitempty"`
-	Stats       xmlspec.Stats            `json:"stats"`
+	SpecDigest string `json:"spec_digest"`
+	Verdict    string `json:"verdict"`
+	Class      string `json:"class,omitempty"`
+	Method     string `json:"method,omitempty"`
+	Witness    string `json:"witness,omitempty"`
+	Diagnosis  string `json:"diagnosis,omitempty"`
+	// Certificate is the verdict's certificate (certificate.Certificate)
+	// as compact JSON. A verdict-cache hit carries the stored bytes its
+	// verification decoded, unchanged.
+	Certificate json.RawMessage `json:"certificate,omitempty"`
+	Stats       xmlspec.Stats   `json:"stats"`
 	// Attribution is the per-scope cost rows (certificate's sibling
 	// report), present when the request set options.attribution.
 	Attribution []xmlspec.ScopeCost `json:"attribution,omitempty"`
@@ -420,21 +433,35 @@ func (s *Server) admit(w http.ResponseWriter, id, tid string) bool {
 	return true
 }
 
-// readSpecRequest reads and decodes the request body both spec routes
-// share, and parses the specification. On failure it answers the
-// request itself and reports ok=false.
+// readSpecRequest decodes the request body both spec routes share,
+// straight from the size-limited body reader, and parses the
+// specification. On failure it answers the request itself and reports
+// ok=false. As with reading the whole body first, a body over the limit
+// is a 413 whatever it holds, and bytes other than white space after
+// the JSON value fail the decode.
 func (s *Server) readSpecRequest(w http.ResponseWriter, r *http.Request, rq *request) (*xmlspec.Spec, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1))
-	if err != nil {
-		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusBadRequest, "parse", "reading body: "+err.Error())
-		return nil, false
+	body := &limitedBody{r: r.Body, left: s.cfg.MaxRequestBytes + 1}
+	dec := json.NewDecoder(body)
+	err := dec.Decode(&rq.req)
+	if err == nil {
+		err = endOfValue(dec.Buffered(), body)
 	}
-	if int64(len(body)) > s.cfg.MaxRequestBytes {
+	if err != nil {
+		// Read on to the limit, so the body's size is judged first.
+		_, _ = io.Copy(io.Discard, body)
+	}
+	switch {
+	case body.err != nil:
+		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusBadRequest, "parse", "reading body: "+body.err.Error())
+		return nil, false
+	case body.left <= 0:
 		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusRequestEntityTooLarge, "parse",
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
 		return nil, false
-	}
-	if err := json.Unmarshal(body, &rq.req); err != nil {
+	case err != nil:
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			err = errors.New("unexpected end of JSON input")
+		}
 		s.reg.Add("server.errors.parse", 1)
 		s.writeError(w, rq.RequestID, rq.TraceID, http.StatusBadRequest, "parse", "decoding request: "+err.Error())
 		return nil, false
@@ -446,6 +473,65 @@ func (s *Server) readSpecRequest(w http.ResponseWriter, r *http.Request, rq *req
 		return nil, false
 	}
 	return spec, true
+}
+
+// limitedBody reads a request body up to left bytes, set one past the
+// size limit so that reading it to the end shows whether the body is
+// over the limit (left reaches 0). It keeps the first read error other
+// than io.EOF.
+type limitedBody struct {
+	r    io.Reader
+	left int64
+	err  error
+}
+
+func (b *limitedBody) Read(p []byte) (int, error) {
+	if b.left <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	if err != nil && err != io.EOF && b.err == nil {
+		b.err = err
+	}
+	return n, err
+}
+
+// endOfValue reads what follows a decoded JSON value — the decoder's
+// buffered bytes, then the rest of the body — to the end, and rejects
+// anything but JSON white space, as json.Unmarshal does.
+func endOfValue(rs ...io.Reader) error {
+	var buf [512]byte
+	var bad error
+	for _, r := range rs {
+		for {
+			n, err := r.Read(buf[:])
+			for _, c := range buf[:n] {
+				if bad == nil && c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+					bad = fmt.Errorf("invalid character %s after top-level value", quoteChar(c))
+				}
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
+	return bad
+}
+
+// quoteChar formats c as encoding/json's syntax errors do.
+func quoteChar(c byte) string {
+	switch c {
+	case '\'':
+		return `'\''`
+	case '"':
+		return `'"'`
+	}
+	q := strconv.Quote(string(c))
+	return "'" + q[1:len(q)-1] + "'"
 }
 
 // Latency histogram and completion counter of each spec route.
@@ -476,7 +562,7 @@ var (
 	checkOp = op{
 		name: "check", span: "server.check", latency: checkLatency, count: checkCount,
 		run: func(ctx context.Context, s *Server, spec *xmlspec.Spec, opts *xmlspec.Options, rq *request) (func() any, error) {
-			res, err := s.decide(ctx, spec, opts, rq)
+			res, cert, err := s.decide(ctx, spec, opts, rq)
 			if err != nil {
 				return nil, err
 			}
@@ -491,7 +577,7 @@ var (
 					Method:      res.Method,
 					Witness:     res.Witness,
 					Diagnosis:   res.Diagnosis,
-					Certificate: res.Certificate,
+					Certificate: cert,
 					Stats:       res.Stats,
 					Attribution: res.Attribution,
 					ElapsedUS:   rq.ElapsedUS,

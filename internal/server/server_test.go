@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/certificate"
 	"repro/internal/experiments"
 	"repro/internal/introspect"
 	"repro/internal/obs"
@@ -567,8 +568,9 @@ func TestCheckResponseCarriesSpecDigest(t *testing.T) {
 	if !strings.HasPrefix(cr.SpecDigest, "spec-") || len(cr.SpecDigest) != len("spec-")+16 {
 		t.Fatalf("spec digest = %q, want spec-<16 hex>", cr.SpecDigest)
 	}
-	if cr.Certificate == nil || cr.Certificate.SpecDigest != cr.SpecDigest {
-		t.Errorf("certificate digest = %+v, want stamped with %s", cr.Certificate, cr.SpecDigest)
+	var cert certificate.Certificate
+	if err := json.Unmarshal(cr.Certificate, &cert); err != nil || cert.SpecDigest != cr.SpecDigest {
+		t.Errorf("certificate %s (%v), want stamped with %s", cr.Certificate, err, cr.SpecDigest)
 	}
 	// The same spec must digest identically on a second request.
 	_, out2 := postCheck(t, ts, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
