@@ -129,12 +129,13 @@ prove-smoke:
 # verified cache hit's scope vectors, one replayed prover certificate,
 # one explanation of each prover-heavy explain kind, one check that
 # builds and verifies its witness, one /check miss and one verified
-# /check hit through the daemon's handler (TestLibraryCheckAllocs,
-# TestParseAllocs, TestEncodeAllocs, TestVerifyScopeVectorsAllocs,
+# /check hit through the daemon's handler, and one root-decided and
+# one branching ILP solve (TestLibraryCheckAllocs, TestParseAllocs,
+# TestEncodeAllocs, TestVerifyScopeVectorsAllocs,
 # TestVerifyProverAllocs, TestExplainAllocs, TestWitnessCheckAllocs,
-# TestServeCheckAllocs, TestServeCheckHitAllocs),
+# TestServeCheckAllocs, TestServeCheckHitAllocs, TestSolveAllocs),
 # the best-of-k wall-time ceilings on the hard Figure 3/4 instances
 # (TestCheckCeilings), and the deterministic int64 fast-path sentinel
 # (TestCeilingFastPathSentinel).
 gates:
-	$(GO) test -count=1 -run 'Allocs$$|Ceiling' . ./internal/cardinality ./internal/certificate ./internal/consistency ./internal/server
+	$(GO) test -count=1 -run 'Allocs$$|Ceiling' . ./internal/cardinality ./internal/certificate ./internal/consistency ./internal/ilp ./internal/server

@@ -280,6 +280,9 @@ func parseTarget(s string, attrs *attrSlab) (Target, error) {
 			if a = strings.TrimSpace(a); a == "" {
 				return Target{}, fmt.Errorf("target %q: empty attribute name", s)
 			}
+			if !isBareName(a) {
+				return Target{}, fmt.Errorf("target %q: attribute %q is not a name", s, a)
+			}
 			attrs = append(attrs, a)
 			if !more {
 				break

@@ -188,6 +188,9 @@ func refParseTarget(s string) (Target, error) {
 			if a == "" {
 				return Target{}, fmt.Errorf("target %q: empty attribute name", s)
 			}
+			if !refIsBareName(a) {
+				return Target{}, fmt.Errorf("target %q: attribute %q is not a name", s, a)
+			}
 			attrs = append(attrs, a)
 		}
 		return Target{Type: typ, Attrs: attrs}, nil

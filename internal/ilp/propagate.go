@@ -24,40 +24,32 @@ const satCap = int64(1) << 56
 // search rather than ground out here.
 const maxPropRounds = 60
 
-// half is one ≤ half of a linear row: Σ terms ≤ k. An LE row is one
-// half, a GE row one half over its negated terms, and an EQ row both.
+// half is one ≤ half of a linear row: sign·Σ terms ≤ k over the row's
+// own terms. An LE row is one half of sign 1, a GE row one half of
+// sign −1, and an EQ row both.
 type half struct {
-	terms []Term
-	k     int64
+	terms   []Term
+	sign, k int64
 }
 
 // splitHalves splits every linear row into its ≤ halves, in row order
 // with a row's LE half before its GE half — the order propagation
-// visits them in. The negated terms of all GE halves share one slab.
+// visits them in.
 func splitHalves(lins []Linear) []half {
-	nh, neg := 0, 0
+	nh := 0
 	for _, l := range lins {
-		if l.Rel == LE || l.Rel == EQ {
+		if l.Rel == EQ {
 			nh++
 		}
-		if l.Rel == GE || l.Rel == EQ {
-			nh++
-			neg += len(l.Terms)
-		}
+		nh++
 	}
 	out := make([]half, 0, nh)
-	slab := make([]Term, neg)
 	for _, l := range lins {
 		if l.Rel == LE || l.Rel == EQ {
-			out = append(out, half{terms: l.Terms, k: l.K})
+			out = append(out, half{terms: l.Terms, sign: 1, k: l.K})
 		}
 		if l.Rel == GE || l.Rel == EQ {
-			terms := slab[:len(l.Terms):len(l.Terms)]
-			slab = slab[len(l.Terms):]
-			for i, t := range l.Terms {
-				terms[i] = Term{Var: t.Var, Coef: -t.Coef}
-			}
-			out = append(out, half{terms: terms, k: -l.K})
+			out = append(out, half{terms: l.Terms, sign: -1, k: -l.K})
 		}
 	}
 	return out
@@ -124,12 +116,16 @@ func (sv *solver) markAll() {
 	}
 }
 
-// mark makes every half mentioning v dirty. Before the index exists
-// (at the root) every round visits every half, so there is nothing to
-// mark.
+// mark makes every half mentioning v dirty. The root's first two
+// rounds visit every half, so before the index exists there is nothing
+// to mark, except in the root's second round: its first tightening
+// builds the index, so the rounds after it know where to go on.
 func (sv *solver) mark(v Var) {
 	if sv.halfOff == nil {
-		return
+		if !sv.indexOnMark {
+			return
+		}
+		sv.buildHalfIndex()
 	}
 	for _, h := range sv.halfIdx[sv.halfOff[v]:sv.halfOff[v+1]] {
 		sv.dirty[h>>6] |= 1 << (h & 63)
@@ -161,8 +157,12 @@ func (sv *solver) nextDirty(i int) int {
 // then the prequadratic constraints. A half's visit is a pure function
 // of its variables' bounds, so a half none of whose variables changed
 // since its last visit would tighten nothing and find no conflict:
-// rounds skip such clean halves. At the root, before the variable
-// index exists, every round visits every half.
+// rounds skip such clean halves. The root's first two rounds visit
+// every half without the variable index: most roots end there, and
+// they build nothing. A root that tightens something in its second
+// round builds the index then, and goes on from the halves of the
+// variables that round tightened; every other half was visited after
+// its variables last moved.
 func (sv *solver) propagate(lo, hi []int64) propResult {
 	sv.fixpoint = false
 	n := len(lo)
@@ -172,10 +172,12 @@ func (sv *solver) propagate(lo, hi []int64) propResult {
 		}
 	}
 	sv.lo, sv.hi = lo, hi
+	root := sv.halfOff == nil
 	for round := 0; round < maxPropRounds; round++ {
 		sv.stats.PropPasses++
 		sv.changed = false
-		if sv.halfOff == nil {
+		if root && round < 2 {
+			sv.indexOnMark = round == 1
 			for i := range sv.halves {
 				if !sv.propagateLE(sv.halves[i]) {
 					return propConflict
@@ -263,6 +265,7 @@ func (sv *solver) propagate(lo, hi []int64) propResult {
 			}
 		}
 
+		sv.indexOnMark = false
 		if !sv.changed {
 			sv.fixpoint = true
 			return propOK
@@ -293,22 +296,23 @@ func (sv *solver) tightenHi(v Var, x int64) bool {
 	return sv.hi[v] == noBound || sv.lo[v] <= sv.hi[v]
 }
 
-// propagateLE tightens bounds using the half Σ terms ≤ k. It reports
-// false on a conflict.
+// propagateLE tightens bounds using the half sign·Σ terms ≤ k. It
+// reports false on a conflict.
 func (sv *solver) propagateLE(h half) bool {
-	terms, k, lo, hi := h.terms, h.k, sv.lo, sv.hi
+	terms, sign, k, lo, hi := h.terms, h.sign, h.k, sv.lo, sv.hi
+	sv.visits++
 	// minSum = Σ min over each term; track whether it is -∞.
 	var minSum int64
 	minInf := false
 	for _, t := range terms {
-		if t.Coef > 0 {
-			minSum = addSat(minSum, mulSat(t.Coef, lo[t.Var]))
+		if c := sign * t.Coef; c > 0 {
+			minSum = addSat(minSum, mulSat(c, lo[t.Var]))
 		} else {
 			if hi[t.Var] == noBound {
 				minInf = true
 				continue
 			}
-			minSum = addSat(minSum, -mulSat(-t.Coef, hi[t.Var]))
+			minSum = addSat(minSum, -mulSat(-c, hi[t.Var]))
 		}
 	}
 	if minSum >= satCap || minSum <= -satCap {
@@ -318,37 +322,37 @@ func (sv *solver) propagateLE(h half) bool {
 		return false
 	}
 	for _, t := range terms {
+		c := sign * t.Coef
 		// Residual minimum of the other terms.
 		restInf := minInf
 		rest := minSum
-		if t.Coef > 0 {
-			rest -= mulSat(t.Coef, lo[t.Var])
+		if c > 0 {
+			rest -= mulSat(c, lo[t.Var])
 		} else {
 			if hi[t.Var] == noBound {
 				// This term was the (an) infinite contributor; others
 				// may still be infinite.
-				restInf = otherNegUnbounded(terms, t.Var, hi)
-				rest = minSumWithout(terms, t.Var, lo, hi)
+				restInf = otherNegUnbounded(h, t.Var, hi)
+				rest = minSumWithout(h, t.Var, lo, hi)
 			} else {
-				rest += mulSat(-t.Coef, hi[t.Var])
+				rest += mulSat(-c, hi[t.Var])
 			}
 		}
 		if restInf {
 			continue
 		}
 		budget := k - rest
-		if t.Coef > 0 {
-			// t.Coef * x ≤ budget → x ≤ floor(budget / coef).
+		if c > 0 {
+			// c·x ≤ budget → x ≤ floor(budget / c).
 			if budget < 0 {
 				return false
 			}
-			if !sv.tightenHi(t.Var, budget/t.Coef) {
+			if !sv.tightenHi(t.Var, budget/c) {
 				return false
 			}
 		} else {
 			// -|c|·x ≤ budget → x ≥ ceil(-budget/|c|).
-			c := -t.Coef
-			if need := ceilDiv(-budget, c); need > 0 {
+			if need := ceilDiv(-budget, -c); need > 0 {
 				if !sv.tightenLo(t.Var, need) {
 					return false
 				}
@@ -358,25 +362,29 @@ func (sv *solver) propagateLE(h half) bool {
 	return true
 }
 
-func otherNegUnbounded(terms []Term, skip Var, hi []int64) bool {
-	for _, t := range terms {
-		if t.Var != skip && t.Coef < 0 && hi[t.Var] == noBound {
+// otherNegUnbounded reports whether a term of h other than skip's has
+// a negative signed coefficient and no upper bound.
+func otherNegUnbounded(h half, skip Var, hi []int64) bool {
+	for _, t := range h.terms {
+		if t.Var != skip && h.sign*t.Coef < 0 && hi[t.Var] == noBound {
 			return true
 		}
 	}
 	return false
 }
 
-func minSumWithout(terms []Term, skip Var, lo, hi []int64) int64 {
+// minSumWithout is the minimum of h's signed sum without skip's term,
+// leaving out terms unbounded below.
+func minSumWithout(h half, skip Var, lo, hi []int64) int64 {
 	var sum int64
-	for _, t := range terms {
+	for _, t := range h.terms {
 		if t.Var == skip {
 			continue
 		}
-		if t.Coef > 0 {
-			sum = addSat(sum, mulSat(t.Coef, lo[t.Var]))
+		if c := h.sign * t.Coef; c > 0 {
+			sum = addSat(sum, mulSat(c, lo[t.Var]))
 		} else if hi[t.Var] != noBound {
-			sum = addSat(sum, -mulSat(-t.Coef, hi[t.Var]))
+			sum = addSat(sum, -mulSat(-c, hi[t.Var]))
 		}
 	}
 	return sum
@@ -405,7 +413,15 @@ func sumUpper(terms []Term, hi []int64) int64 {
 	return sum
 }
 
+// mulFast bounds the factors mulSat multiplies without a check: when
+// both are below it in magnitude, the product is below satCap.
+const mulFast = int64(1) << 28
+
+// mulSat returns a·b, saturated at ±satCap.
 func mulSat(a, b int64) int64 {
+	if -mulFast < a && a < mulFast && -mulFast < b && b < mulFast {
+		return a * b
+	}
 	if a == 0 || b == 0 {
 		return 0
 	}

@@ -20,13 +20,19 @@ import (
 // every conditional and prequadratic constraint. It tightens lo/hi in
 // place until a fixpoint, a conflict or the round budget.
 func (sv *solver) propagateReference(lo, hi []int64) propResult {
+	return sv.propagateReferenceRounds(lo, hi, maxPropRounds)
+}
+
+// propagateReferenceRounds is propagateReference stopped after the
+// given number of rounds.
+func (sv *solver) propagateReferenceRounds(lo, hi []int64, rounds int) propResult {
 	n := len(lo)
 	for v := 0; v < n; v++ {
 		if hi[v] != noBound && lo[v] > hi[v] {
 			return propConflict
 		}
 	}
-	for round := 0; round < maxPropRounds; round++ {
+	for round := 0; round < rounds; round++ {
 		sv.stats.PropPasses++
 		changed := false
 		tighten := func(v Var, newLo, newHi int64, hasLo, hasHi bool) bool {
@@ -169,8 +175,8 @@ func (sv *solver) propagateLEReference(terms []Term, k int64, lo, hi []int64,
 			if hi[t.Var] == noBound {
 				// This term was the (an) infinite contributor; others
 				// may still be infinite.
-				restInf = otherNegUnbounded(terms, t.Var, hi)
-				rest = minSumWithout(terms, t.Var, lo, hi)
+				restInf = otherNegUnboundedReference(terms, t.Var, hi)
+				rest = minSumWithoutReference(terms, t.Var, lo, hi)
 			} else {
 				rest += mulSat(-t.Coef, hi[t.Var])
 			}
@@ -198,6 +204,30 @@ func (sv *solver) propagateLEReference(terms []Term, k int64, lo, hi []int64,
 		}
 	}
 	return true
+}
+
+func otherNegUnboundedReference(terms []Term, skip Var, hi []int64) bool {
+	for _, t := range terms {
+		if t.Var != skip && t.Coef < 0 && hi[t.Var] == noBound {
+			return true
+		}
+	}
+	return false
+}
+
+func minSumWithoutReference(terms []Term, skip Var, lo, hi []int64) int64 {
+	var sum int64
+	for _, t := range terms {
+		if t.Var == skip {
+			continue
+		}
+		if t.Coef > 0 {
+			sum = addSat(sum, mulSat(t.Coef, lo[t.Var]))
+		} else if hi[t.Var] != noBound {
+			sum = addSat(sum, -mulSat(-t.Coef, hi[t.Var]))
+		}
+	}
+	return sum
 }
 
 func negateTermsReference(terms []Term) []Term {
@@ -568,6 +598,103 @@ func TestPropagateMatchesReference(t *testing.T) {
 		sv = &solver{sys: s, halves: splitHalves(s.Lins)}
 		sv.enterChild(false)
 		diveBoth(t, "all-dirty dive", rng, sv, lo, hi)
+	}
+}
+
+// randomChainSystem is randomPropSystem plus a chain of difference
+// rows over its variables, listed against the direction upper bounds
+// flow along it, so the root's sweeps move bounds one link per round
+// and many roots run three rounds or more.
+func randomChainSystem(rng *rand.Rand) *System {
+	s := randomPropSystem(rng)
+	chain := rng.Perm(s.NumVars())
+	for i := len(chain) - 1; i > 0; i-- {
+		// x_i − x_{i−1} ≤ c: an upper bound on x_{i−1} caps x_i, and a
+		// lower bound on x_i raises x_{i−1}.
+		s.AddLE([]Term{T(1, Var(chain[i])), T(-1, Var(chain[i-1]))}, int64(rng.Intn(3)))
+	}
+	return s
+}
+
+// TestEventDrivenRootMatchesReference propagates roots of chained
+// systems: every root must leave the full sweep's bounds, result and
+// round count, and must build the variable index exactly when its
+// second round tightened a bound, so a root that ends in round two
+// builds nothing.
+func TestEventDrivenRootMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	long := 0
+	for i := 0; i < 10000; i++ {
+		s := randomChainSystem(rng)
+		// Loose starting bounds leave the chain rounds to run.
+		lo, hi := make([]int64, s.NumVars()), make([]int64, s.NumVars())
+		for v := range hi {
+			hi[v] = noBound
+			if rng.Intn(2) == 0 {
+				hi[v] = int64(rng.Intn(1 << 10))
+			}
+		}
+		// The reference after one and after two rounds: any bound that
+		// differs was tightened in round two.
+		ref := &solver{sys: s}
+		lo1, hi1 := cloneBounds(lo, hi)
+		tightened2 := false
+		if ref.propagateReferenceRounds(lo1, hi1, 1) == propOK {
+			lo2, hi2 := cloneBounds(lo1, hi1)
+			ref.propagateReferenceRounds(lo2, hi2, 1)
+			tightened2 = !slices.Equal(lo1, lo2) || !slices.Equal(hi1, hi2)
+		}
+		sv := &solver{sys: s, halves: splitHalves(s.Lins)}
+		propagateBoth(t, "chained root", sv, lo, hi)
+		if built := sv.halfOff != nil; built != tightened2 {
+			t.Fatalf("%s\nindex built %v, round two tightened %v", s, built, tightened2)
+		}
+		if sv.stats.PropPasses >= 3 {
+			long++
+		}
+	}
+	if long < 2000 {
+		t.Fatalf("only %d of 10000 roots ran three rounds or more", long)
+	}
+}
+
+// TestMulSatMatchesBig compares mulSat with the exact product clamped
+// to ±satCap: at the edge of its unchecked range (|a|, |b| < 2^28), at
+// and around ±satCap, at zero, and on random pairs of every magnitude.
+func TestMulSatMatchesBig(t *testing.T) {
+	lim := big.NewInt(satCap)
+	check := func(a, b int64) {
+		p := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+		if p.Cmp(lim) > 0 {
+			p.Set(lim)
+		} else if p.CmpAbs(lim) > 0 {
+			p.Neg(lim)
+		}
+		if got := mulSat(a, b); got != p.Int64() {
+			t.Fatalf("mulSat(%d, %d) = %d, want %d", a, b, got, p.Int64())
+		}
+	}
+	var edges []int64
+	for _, x := range []int64{0, 1, 2, 3, mulFast - 1, mulFast, mulFast + 1,
+		satCap/mulFast - 1, satCap / mulFast, satCap/mulFast + 1,
+		satCap/3 + 1, satCap - 1, satCap, satCap + 1, noBound} {
+		edges = append(edges, x, -x)
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	draw := func() int64 {
+		x := rng.Int63n(int64(1) << rng.Intn(63))
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		return x
+	}
+	for i := 0; i < 200000; i++ {
+		check(draw(), draw())
 	}
 }
 

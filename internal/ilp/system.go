@@ -19,8 +19,9 @@
 // Propagation is event-driven. Each solve splits every linear row once
 // into its ≤ halves, and a propagation round revisits only the halves
 // whose variables' bounds changed since their last visit (every half
-// at the root, and at the children of a node that ran out of rounds).
-// Skipping the others changes no bound, verdict or search count.
+// in the root's first two rounds, and at the children of a node that
+// ran out of rounds). Skipping the others changes no bound, verdict or
+// search count.
 package ilp
 
 import (
